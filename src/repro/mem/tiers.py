@@ -15,7 +15,8 @@ Equivalence contract: for DRAM and PMem the specs carry **exactly**
 the constants the old branches read (same :class:`~repro.config.
 CostModel` fields, combined downstream in the same expression order),
 so a DRAM+PMem-only machine is bit-identical to the pre-refactor
-simulator.  ``tests/test_tier_golden.py`` holds the model to that.
+simulator.  The ``tier`` golden of :mod:`repro.goldens` (replayed by
+``tests/test_goldens.py``) holds the model to that.
 
 Dispatch is exhaustive: an unregistered medium raises
 :class:`~repro.errors.InvalidArgumentError` instead of silently

@@ -11,8 +11,9 @@ architectures:
 ``radix4``
     The pre-refactor 4-level x86-64 radix tree, bit for bit: it *is*
     :class:`~repro.paging.pagetable.PageTable`, with the scheme hooks
-    layered on top.  ``tests/golden/mmu_equivalence.json`` (captured
-    before this module existed) gates that equivalence.
+    layered on top.  The ``mmu`` golden of :mod:`repro.goldens`
+    (captured before this module existed, replayed by
+    ``tests/test_goldens.py``) gates that equivalence.
 ``radix5``
     x86-64 5-level paging (LA57): same fragments, same attach cost,
     one extra upper level on every walk and one more interior node per
@@ -243,8 +244,8 @@ class Radix4Scheme(PageTable, TranslationScheme):
     Subclasses :class:`PageTable` directly (same ``__init__`` chain,
     same allocation order, same walk bookkeeping), so every frame
     number, every charged cycle and every serialised byte matches the
-    tree before the scheme interface existed.  The golden gate
-    (``tests/golden/mmu_equivalence.json``) holds it to that.
+    tree before the scheme interface existed.  The ``mmu`` golden of
+    :mod:`repro.goldens` holds it to that.
     """
 
     name = "radix4"

@@ -68,25 +68,6 @@ def _attach_tiering(system: System, spec: Dict[str, object]) -> None:
     system.attach_tiering(data_medium=data, daemon=daemon, config=config)
 
 
-def _attach_tenancy(system: System, spec: Dict[str, object]) -> None:
-    """Rehydrate the point's ``tenancy`` dict (a ``TenancyConfig.
-    to_state`` payload) and attach the runtime.  Passive configs
-    attach without installing any hook, keeping the degenerate point
-    bit-identical to an un-tenanted run."""
-    from repro.tenancy import TenancyConfig
-
-    system.attach_tenancy(TenancyConfig.from_state(spec))
-
-
-def _attach_virt(system: System, spec: Dict[str, object]) -> None:
-    """Rehydrate the point's ``virt`` dict (a ``VirtConfig.to_state``
-    payload) and attach the hypervisor; processes created afterwards
-    by the point's workload enroll as guests automatically."""
-    from repro.virt import VirtConfig
-
-    system.attach_hypervisor(VirtConfig.from_state(spec))
-
-
 #: Rows kept from a per-point profile (sorted by tottime).
 PROFILE_TOP = 15
 
@@ -110,6 +91,49 @@ def _profile_top(profiler, top: int = PROFILE_TOP):
     return rows[:top]
 
 
+def build_system(point: SweepPoint) -> System:
+    """The fresh machine one point runs on, overlays attached.
+
+    :func:`run_point` and the golden registry (:mod:`repro.goldens`)
+    both build here, so a pinned point is the sweep's machine.
+    """
+    _reset_naming_counters()
+    costs = MEDIA_PRESETS[point.media]()
+    if point.node_kinds:
+        kinds = tuple(k.strip() for k in point.node_kinds.split(",")
+                      if k.strip())
+        topology = MachineTopology.with_kinds(costs.machine, kinds)
+    else:
+        topology = (MachineTopology.split(costs.machine, point.num_nodes)
+                    if point.num_nodes > 1 else None)
+    system = System(costs=costs, device_bytes=point.device_gib << 30,
+                    aged=point.aged, topology=topology,
+                    placement=point.placement, pin_node=point.pin_node,
+                    scheme=point.scheme)
+    if point.tiering:
+        _attach_tiering(system, point.tiering)
+    if point.tenancy:
+        from repro.tenancy import TenancyConfig
+
+        # A passive config installs no hook: the degenerate point stays
+        # bit-identical to an un-tenanted run.
+        system.attach_tenancy(TenancyConfig.from_state(point.tenancy))
+    if point.virt:
+        from repro.virt import VirtConfig
+
+        # Processes the point's workload creates enroll as guests.
+        system.attach_hypervisor(VirtConfig.from_state(point.virt))
+    return system
+
+
+def system_state(run, system: System,
+                 wall: float = 0.0) -> Dict[str, object]:
+    """``run``'s JSON-safe result state plus the contended locks."""
+    locks = [lock.report() for lock in system.engine.locks
+             if lock.acquisitions]
+    return result_state(run, system.stats, system.ledger, locks, wall)
+
+
 def run_point(payload: Dict[str, object],
               profile: bool = False) -> Dict[str, object]:
     """Simulate one sweep point; returns its JSON-safe result state.
@@ -128,25 +152,7 @@ def run_point(payload: Dict[str, object],
     if runner is None:
         raise KeyError(f"unknown point experiment {point.experiment!r}; "
                        f"known: {sorted(POINT_RUNNERS)}")
-    _reset_naming_counters()
-    costs = MEDIA_PRESETS[point.media]()
-    if point.node_kinds:
-        kinds = tuple(k.strip() for k in point.node_kinds.split(",")
-                      if k.strip())
-        topology = MachineTopology.with_kinds(costs.machine, kinds)
-    else:
-        topology = (MachineTopology.split(costs.machine, point.num_nodes)
-                    if point.num_nodes > 1 else None)
-    system = System(costs=costs, device_bytes=point.device_gib << 30,
-                    aged=point.aged, topology=topology,
-                    placement=point.placement, pin_node=point.pin_node,
-                    scheme=point.scheme)
-    if point.tiering:
-        _attach_tiering(system, point.tiering)
-    if point.tenancy:
-        _attach_tenancy(system, point.tenancy)
-    if point.virt:
-        _attach_virt(system, point.virt)
+    system = build_system(point)
     profiler = None
     if profile:
         import cProfile
@@ -162,9 +168,7 @@ def run_point(payload: Dict[str, object],
     else:
         run = runner(system, **point.params)
     wall = time.perf_counter() - started
-    locks = [lock.report() for lock in system.engine.locks
-             if lock.acquisitions]
-    state = result_state(run, system.stats, system.ledger, locks, wall)
+    state = system_state(run, system, wall)
     if profiler is not None:
         state["profile"] = _profile_top(profiler)
     return state

@@ -48,8 +48,8 @@ tripping each one through the heap (see :meth:`Engine._drain` and
 DESIGN §12 for the invariants).  The drain's clock and ledger
 arithmetic are bit-identical to the heap path; ``fast_forward=False``
 (or the module default :data:`FAST_FORWARD_DEFAULT`) forces the
-classic path, which the engine-equivalence golden gate compares
-byte-for-byte.
+classic path, which the ``engine`` golden of :mod:`repro.goldens`
+compares byte-for-byte.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from repro.obs import Charge, ChargeSpan, CostDomain, Ledger
 KernelGen = Generator[Any, Any, Any]
 
 #: Session-wide default for :class:`Engine`'s fast-forward scheduler.
-#: The equivalence golden flips this to prove both paths produce the
+#: The ``engine`` golden flips this to prove both paths produce the
 #: same bytes; everything else leaves it on.
 FAST_FORWARD_DEFAULT = True
 

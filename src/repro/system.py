@@ -258,7 +258,11 @@ class System:
         """Wire a :class:`repro.crash.PersistenceDomain` into every
         layer that moves durable state: the file system (metadata and
         journal transactions), the memory model (stream/copy/flush byte
-        accounting) and physical memory (PMem frame lifecycle)."""
+        accounting) and physical memory (PMem frame lifecycle).  A
+        second domain is refused: it would orphan the first's crash point."""
+        if self.persistence is not None:
+            raise ValueError("attach_persistence: a persistence domain "
+                             "is already attached; build a fresh System")
         self.persistence = domain
         self.fs.persistence = domain
         self.mem.persistence = domain
@@ -323,10 +327,15 @@ class System:
 
         Passive configs (one plain tenant, no quotas) install nothing
         — the machine stays bit-identical to an un-tenanted one (the
-        ``tenancy_equivalence`` golden gate).  Returns the runtime.
+        ``tenancy`` golden of :mod:`repro.goldens`).  Returns the
+        runtime.  A second runtime would stack its hooks on the first's
+        accountants and throttles, so attaching twice is refused.
         """
         from repro.tenancy import TenancyRuntime
 
+        if self.tenancy is not None:
+            raise ValueError("attach_tenancy: a tenancy runtime is "
+                             "already attached; build a fresh System")
         self.tenancy = TenancyRuntime(self, config)
         self.tenancy.install()
         return self.tenancy
@@ -337,8 +346,8 @@ class System:
 
         A pass-through hypervisor (``VirtConfig()`` — no nested
         pricing, no migration) installs hooks that never fire, keeping
-        the machine bit-identical to a bare one (the
-        ``virt_equivalence`` golden gate).  Returns the hypervisor.
+        the machine bit-identical to a bare one (the ``virt`` golden of
+        :mod:`repro.goldens`).  Returns the hypervisor.
         """
         from repro.virt import Hypervisor, VirtConfig
 

@@ -18,7 +18,8 @@ The **degenerate path**: a passive config (one plain tenant, no
 quotas, no antagonist, no think time) delegates to the original
 un-tenanted workload runner and installs *no* hooks — so the run is
 bit-identical to a machine without the tenancy subsystem.  The
-``tenancy_equivalence`` golden gate holds this equivalence forever.
+``tenancy`` golden of :mod:`repro.goldens` (replayed by
+``tests/test_goldens.py``) holds this equivalence forever.
 """
 
 from __future__ import annotations

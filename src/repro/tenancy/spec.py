@@ -159,7 +159,8 @@ class TenancyConfig:
         tenant, no quotas, saturating closed loop.  The runtime then
         delegates to the un-tenanted workload runner and installs no
         hooks, so the run is bit-identical to a machine that never
-        heard of tenants (the ``tenancy_equivalence`` golden gate)."""
+        heard of tenants (the ``tenancy`` golden of
+        :mod:`repro.goldens`)."""
         return (len(self.tenants) == 1
                 and not self.quotas
                 and self.tenants[0].kind != "antagonist"

@@ -19,8 +19,9 @@ bit for bit.  Every factor degenerates to exactly ``1.0`` (and every
 IPI extra to ``0.0``) when source and target node coincide, and every
 NUMA-only counter stays silent on one node, so threading the topology
 through the cost model cannot perturb single-socket results (IEEE 754
-multiplication by 1.0 is exact).  ``tests/test_golden_equivalence.py``
-holds the simulator to that promise.
+multiplication by 1.0 is exact).  The ``numa`` golden of
+:mod:`repro.goldens` (replayed by ``tests/test_goldens.py``) holds the
+simulator to that promise.
 """
 
 from __future__ import annotations

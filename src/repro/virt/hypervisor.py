@@ -18,8 +18,8 @@ layer's hooks route through it:
 The design is deliberately two-speed.  A **pass-through** guest
 (``VirtConfig()`` — no nested pricing, no migration) installs all the
 hooks but yields nothing, charges nothing and bumps no counter: the
-machine stays bit-identical to a bare one, pinned by the
-``virt_equivalence`` golden gate.  Arming ``nested`` and/or
+machine stays bit-identical to a bare one, pinned by the ``virt``
+golden of :mod:`repro.goldens`.  Arming ``nested`` and/or
 ``migrate`` turns the same hooks into the real hypervisor.
 """
 

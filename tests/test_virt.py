@@ -11,6 +11,7 @@ composition satellite, and a compact end-to-end hardening audit.
 import pytest
 
 from repro.config import MEDIA_PRESETS
+from repro.crash import PersistenceDomain
 from repro.crash.workloads import CRASH_WORKLOADS
 from repro.errors import InvalidArgumentError
 from repro.faults.injector import FaultInjector
@@ -19,6 +20,7 @@ from repro.faults.plan import FaultPlan
 from repro.obs import CostDomain, Counter
 from repro.runner.worker import _reset_naming_counters
 from repro.system import System
+from repro.tenancy import consolidate_config
 from repro.virt import (
     MigrationState,
     VirtConfig,
@@ -50,26 +52,25 @@ class _StalledLink(MediaFaults):
         return (400_000.0, 1.0)
 
 
-# -- attach guards (satellite: every attach refuses a double) -----------
-def test_attach_hypervisor_twice_refused():
+# -- attach guards: every attach_* refuses a double ---------------------
+_ATTACHES = {
+    "persistence": lambda system: system.attach_persistence(
+        PersistenceDomain()),
+    "faults": lambda system: system.attach_faults(
+        MediaFaults(FaultPlan(()))),
+    "tiering": lambda system: system.attach_tiering(),
+    "tenancy": lambda system: system.attach_tenancy(
+        consolidate_config(1)),
+    "hypervisor": lambda system: system.attach_hypervisor(VirtConfig()),
+}
+
+
+@pytest.mark.parametrize("layer", sorted(_ATTACHES))
+def test_attach_twice_refused(layer):
     system = _system()
-    system.attach_hypervisor(VirtConfig())
+    _ATTACHES[layer](system)
     with pytest.raises(ValueError, match="already attached"):
-        system.attach_hypervisor(VirtConfig())
-
-
-def test_attach_faults_twice_refused():
-    system = _system()
-    system.attach_faults(MediaFaults(FaultPlan(())))
-    with pytest.raises(ValueError, match="already attached"):
-        system.attach_faults(MediaFaults(FaultPlan(())))
-
-
-def test_attach_tiering_twice_refused():
-    system = _system()
-    system.attach_tiering()
-    with pytest.raises(ValueError, match="already attached"):
-        system.attach_tiering()
+        _ATTACHES[layer](system)
 
 
 # -- config validation ---------------------------------------------------
