@@ -157,10 +157,12 @@ class FileSystem:
                                         write=False)
         extents = self._extents_touched(file.inode, offset, nbytes)
         lookup = self.costs.extent_lookup * extents
-        src = self._data_medium(file.inode, offset, nbytes, write=False)
-        copy = self.mem.memcpy(nbytes, src, Medium.DRAM, kernel=True)
+        src = self.mem.spec(
+            self._data_medium(file.inode, offset, nbytes, write=False))
+        copy = self.mem.memcpy_spec(nbytes, src, self.mem.dram_spec,
+                                    kernel=True)
         if random_access:
-            copy += self.mem.load_latency(src)
+            copy += self.mem.load_latency_spec(src)
         copy = max(copy, self._device_wait(nbytes, 0))
         yield charge(CostDomain.SYSCALL, "extent-lookup", lookup)
         yield charge(CostDomain.COPY, "read-copy", copy)
@@ -187,9 +189,10 @@ class FileSystem:
                                         write=True)
         extents = self._extents_touched(file.inode, offset, nbytes)
         lookup = self.costs.extent_lookup * extents
-        dst = self._data_medium(file.inode, offset, nbytes, write=True)
-        copy = self.mem.memcpy(nbytes, Medium.DRAM, dst,
-                               kernel=True, ntstore=True)
+        dst = self.mem.spec(
+            self._data_medium(file.inode, offset, nbytes, write=True))
+        copy = self.mem.memcpy_spec(nbytes, self.mem.dram_spec, dst,
+                                    kernel=True, ntstore=True)
         copy = max(copy, self._device_wait(0, nbytes))
         yield charge(CostDomain.SYSCALL, "extent-lookup", lookup)
         yield charge(CostDomain.COPY, "write-copy", copy)

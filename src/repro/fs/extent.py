@@ -58,7 +58,9 @@ class ExtentTree:
 
     @property
     def block_count(self) -> int:
-        return sum(e.length for e in self._extents)
+        # Extents are dense from block 0 (``check_invariants``), so the
+        # tail's end is the file's length: O(1) however fragmented.
+        return self._extents[-1].logical_end if self._extents else 0
 
     # -- mutation -----------------------------------------------------------
     def append(self, physical: int, length: int) -> Extent:
@@ -112,17 +114,19 @@ class ExtentTree:
     def truncate_to(self, nblocks: int) -> List[Tuple[int, int]]:
         """Shrink the file to ``nblocks``; returns freed (phys, len) runs."""
         freed: List[Tuple[int, int]] = []
-        while self._extents and self.block_count > nblocks:
+        excess = self.block_count - nblocks
+        while self._extents and excess > 0:
             tail = self._extents[-1]
-            excess = self.block_count - nblocks
             if tail.length <= excess:
                 freed.append((tail.physical, tail.length))
+                excess -= tail.length
                 self._extents.pop()
                 self._logical_starts.pop()
             else:
                 keep = tail.length - excess
                 freed.append((tail.physical + keep, excess))
                 tail.length = keep
+                excess = 0
         return freed
 
     # -- lookup ---------------------------------------------------------------

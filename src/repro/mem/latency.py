@@ -85,6 +85,10 @@ class MemoryModel:
         #: reads the touched medium's spec instead of branching on the
         #: enum.
         self.specs = medium_specs(costs)
+        #: DRAM's spec, resolved once: the CPU-side buffer of every
+        #: copy the hot paths price (the registry is built above and
+        #: never changes).
+        self.dram_spec = self.spec(Medium.DRAM)
         #: Optional :class:`repro.tiering.TierMap` — the hot/cold data
         #: placement overlay consulted by the VM access path and the
         #: FS copy paths.  ``None`` (the default) means all file data
@@ -228,14 +232,25 @@ class MemoryModel:
         """The medium's pricing spec; unknown media raise loudly."""
         return spec_for(self.specs, medium)
 
+    # Each pricing helper below comes in two forms: one taking a
+    # ``Medium`` (resolved through :meth:`spec`) and a ``*_spec`` twin
+    # taking the resolved :class:`MediumSpec`.  Hot paths resolve each
+    # medium once per priced access and call the twins, so one access
+    # costs one registry lookup instead of one per helper; the twins
+    # read the same frozen spec, so the numbers are identical.
+
     # -- scalar access ------------------------------------------------------
     def load_latency(self, medium: Medium, cached: bool = False,
                      factor: float = 1.0) -> float:
         """Latency of one dependent load from ``medium``; ``factor``
         is the NUMA latency multiplier (cache hits never pay it)."""
+        return self.load_latency_spec(self.spec(medium), cached, factor)
+
+    def load_latency_spec(self, spec: MediumSpec, cached: bool = False,
+                          factor: float = 1.0) -> float:
         if cached:
             return self.costs.cache_load_latency
-        return self.spec(medium).load_latency * factor
+        return spec.load_latency * factor
 
     # -- streaming access ---------------------------------------------------
     def stream_read(self, nbytes: int, medium: Medium,
@@ -243,10 +258,15 @@ class MemoryModel:
                     bw_factor: float = 1.0) -> float:
         """Sequentially scan ``nbytes`` (AVX-512 width reads) living on
         ``node``; ``bw_factor`` < 1 models the off-socket link."""
+        return self.stream_read_spec(nbytes, self.spec(medium), cached,
+                                     node, bw_factor)
+
+    def stream_read_spec(self, nbytes: int, spec: MediumSpec,
+                         cached: bool = False, node: int = 0,
+                         bw_factor: float = 1.0) -> float:
         if cached:
             bandwidth = self.costs.dram_read_bw * 2.5  # LLC-resident
         else:
-            spec = self.spec(medium)
             bandwidth = spec.read_bw * bw_factor
             if spec.interference_prone:
                 bandwidth /= self.interference_for(node)
@@ -263,7 +283,12 @@ class MemoryModel:
         sits dirty in the cache — durability costs are paid later by
         whoever flushes (msync/fsync via :meth:`clwb_flush`).
         """
-        spec = self.spec(medium)
+        return self.stream_write_spec(nbytes, self.spec(medium), ntstore,
+                                      node, bw_factor)
+
+    def stream_write_spec(self, nbytes: int, spec: MediumSpec,
+                          ntstore: bool = True, node: int = 0,
+                          bw_factor: float = 1.0) -> float:
         if self.persistence is not None and spec.persistent:
             self.persistence.note_stream(nbytes, ntstore)
         if not ntstore or not spec.ntstore_streams:
@@ -280,10 +305,11 @@ class MemoryModel:
                     node: int = 0, lat_factor: float = 1.0,
                     bw_factor: float = 1.0) -> float:
         """Read ``nbytes`` in random ``granule``-sized chunks."""
+        spec = self.spec(medium)
         chunks = max(1, nbytes // granule)
-        per_chunk = (self.load_latency(medium, factor=lat_factor)
-                     + self.stream_read(granule, medium, node=node,
-                                        bw_factor=bw_factor) * 0.55)
+        per_chunk = (self.load_latency_spec(spec, factor=lat_factor)
+                     + self.stream_read_spec(granule, spec, node=node,
+                                             bw_factor=bw_factor) * 0.55)
         return chunks * per_chunk
 
     # -- copies ---------------------------------------------------------------
@@ -296,17 +322,21 @@ class MemoryModel:
         copies (§III-C, Vectorization).  ``bw_factor`` discounts the
         whole pipe when either end sits across the UPI link.
         """
-        dst_spec = self.spec(dst)
-        if self.persistence is not None and dst_spec.persistent:
+        return self.memcpy_spec(nbytes, self.spec(src), self.spec(dst),
+                                kernel, ntstore, bw_factor)
+
+    def memcpy_spec(self, nbytes: int, src: MediumSpec, dst: MediumSpec,
+                    kernel: bool = False, ntstore: bool = True,
+                    bw_factor: float = 1.0) -> float:
+        if self.persistence is not None and dst.persistent:
             self.persistence.note_stream(nbytes, ntstore)
-        read_bw = self.spec(src).read_bw
-        if not ntstore or not dst_spec.ntstore_streams:
+        if not ntstore or not dst.ntstore_streams:
             # Cached stores: the cache absorbs them at DRAM-like speed
             # (device durability, if needed, is a later clwb flush).
             write_bw = self.costs.dram_write_bw
         else:
-            write_bw = dst_spec.ntstore_bw
-        bandwidth = min(read_bw, write_bw) * bw_factor
+            write_bw = dst.ntstore_bw
+        bandwidth = min(src.read_bw, write_bw) * bw_factor
         if kernel:
             bandwidth *= self.costs.kernel_copy_ratio
         return self.costs.copy_cycles(nbytes, bandwidth)

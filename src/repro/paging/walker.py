@@ -27,6 +27,11 @@ class PageWalker:
         #: Per-medium leaf-read cycles via the tier registry (DRAM and
         #: PMem specs carry walk_leaf_dram/walk_leaf_pmem verbatim).
         self._specs = medium_specs(costs)
+        #: The last leaf medium priced and its ``walk_leaf``: a mapping
+        #: keeps one leaf medium, so a run of walks resolves its spec
+        #: once instead of on every walk.
+        self._leaf_medium = Medium.DRAM
+        self._leaf = spec_for(self._specs, Medium.DRAM).walk_leaf
 
     def walk_cost(self, pattern: AccessPattern, leaf_medium: Medium,
                   leaf_level: int = PTE_LEVEL,
@@ -48,8 +53,11 @@ class PageWalker:
         else:
             upper = self.costs.walk_upper_rand
             miss = self.costs.walk_leaf_miss_rand
-        leaf = spec_for(self._specs, leaf_medium).walk_leaf
-        return upper + miss * leaf * leaf_factor
+        if leaf_medium is not self._leaf_medium:
+            # Unknown media raise here, before the memo moves.
+            self._leaf = spec_for(self._specs, leaf_medium).walk_leaf
+            self._leaf_medium = leaf_medium
+        return upper + miss * self._leaf * leaf_factor
 
     def walk_cost_for(self, translation: Translation,
                       pattern: AccessPattern,

@@ -446,34 +446,38 @@ class MMStruct:
                              vma.file_page(last_page), write=write)
         numa = self._numa_info(vma, first_page, data_medium)
         lat_f, bw_f, target_node, numa_remote = numa or (1.0, 1.0, 0, False)
+        # One registry lookup prices the whole access: every helper
+        # below takes the resolved spec (the buffer side is DRAM's).
+        mem = self.mem
+        data_spec = mem.spec(data_medium)
 
         def movement(lat_factor: float, bw_factor: float) -> float:
             """Pure data-movement cycles under given NUMA factors (the
             uniform call reproduces the pre-topology costs bit for
             bit — every factor is exactly 1.0)."""
             if write and copy:
-                return self.mem.memcpy(
-                    nbytes, Medium.DRAM, data_medium, ntstore=ntstore,
+                return mem.memcpy_spec(
+                    nbytes, mem.dram_spec, data_spec, ntstore=ntstore,
                     bw_factor=bw_factor) * num_ops
             if write:
-                return self.mem.stream_write(
-                    nbytes, data_medium, ntstore=ntstore,
+                return mem.stream_write_spec(
+                    nbytes, data_spec, ntstore=ntstore,
                     node=target_node, bw_factor=bw_factor) * num_ops
             if copy:
-                cycles = self.mem.memcpy(nbytes, data_medium, Medium.DRAM,
+                cycles = mem.memcpy_spec(nbytes, data_spec, mem.dram_spec,
                                          bw_factor=bw_factor)
                 if pattern is AccessPattern.RANDOM:
-                    cycles += self.mem.load_latency(data_medium,
+                    cycles += mem.load_latency_spec(data_spec,
                                                     factor=lat_factor)
                 return cycles * num_ops
             if pattern is AccessPattern.RANDOM:
-                return (self.mem.load_latency(data_medium, factor=lat_factor)
-                        + self.mem.stream_read(
-                            nbytes, data_medium, cached=data_cached,
+                return (mem.load_latency_spec(data_spec, factor=lat_factor)
+                        + mem.stream_read_spec(
+                            nbytes, data_spec, cached=data_cached,
                             node=target_node,
                             bw_factor=bw_factor)) * num_ops
-            return self.mem.stream_read(
-                nbytes, data_medium, cached=data_cached, node=target_node,
+            return mem.stream_read_spec(
+                nbytes, data_spec, cached=data_cached, node=target_node,
                 bw_factor=bw_factor) * num_ops
 
         data = movement(lat_f, bw_f)
@@ -485,8 +489,8 @@ class MMStruct:
         # Only media sharing the PMem DIMM pools contend there; data a
         # tier overlay moved to DRAM/CXL rides its own channel.
         total_bytes = nbytes * num_ops
-        if not data_cached and self.mem.spec(data_medium).device_pooled:
-            wait = self.mem.device_delay(
+        if not data_cached and data_spec.device_pooled:
+            wait = mem.device_delay(
                 0 if write else total_bytes,
                 total_bytes if write else 0, self.engine.now,
                 node=target_node)
@@ -612,7 +616,6 @@ class MMStruct:
     def _write_track(self, vma: VMA, first_page: int, last_page: int):
         """Take write-protect faults for untracked granules in range."""
         granule = vma.dirty_granule or PAGE_SIZE
-        pages_per_granule = max(1, granule // PAGE_SIZE)
         granules = sorted({
             (vma.file_offset + p * PAGE_SIZE) // granule
             for p in range(first_page, last_page + 1)})
@@ -648,7 +651,6 @@ class MMStruct:
                                  len(pending))
             yield charge(CostDomain.FAULT, "dirty-track", cost)
             yield from self.mmap_sem.release_read()
-        _ = pages_per_granule  # granule arithmetic documented above
 
     def _tlb_cost(self, vma: VMA, first_page: int, npages: int,
                   pattern: AccessPattern, num_ops: int,

@@ -94,3 +94,69 @@ def test_property_append_truncate_roundtrip(appends):
     assert sum(l for _p, l in freed) == total - keep
     assert tree.block_count == keep
     tree.check_invariants()
+
+
+def _reference_truncate(runs, nblocks):
+    """The original quadratic ``truncate_to`` loop, over a list of
+    ``[physical, length]`` runs: re-sums the whole file per step."""
+    runs = [list(run) for run in runs]
+    freed = []
+    while runs and sum(length for _p, length in runs) > nblocks:
+        tail = runs[-1]
+        excess = sum(length for _p, length in runs) - nblocks
+        if tail[1] <= excess:
+            freed.append((tail[0], tail[1]))
+            runs.pop()
+        else:
+            keep = tail[1] - excess
+            freed.append((tail[0] + keep, excess))
+            tail[1] = keep
+    return freed, [tuple(run) for run in runs]
+
+
+_EXTENT_OPS = st.lists(st.one_of(
+    st.tuples(st.just("append"), st.integers(0, 10_000),
+              st.integers(1, 600)),
+    st.tuples(st.just("replace"), st.integers(0, 1 << 20),
+              st.integers(20_000, 30_000)),
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 20)),
+), min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_EXTENT_OPS)
+def test_property_append_replace_truncate(ops):
+    """Mixed appends, single-block remaps and truncates keep the tree
+    dense; ``block_count`` (the tail's end) equals the summed lengths;
+    every appended block is either kept or freed exactly once; and
+    ``truncate_to`` frees the same runs, in the same order, as the
+    original loop."""
+    tree = ExtentTree()
+    appended = freed_total = 0
+    for op in ops:
+        if op[0] == "append":
+            tree.append(op[1], op[2])
+            appended += op[2]
+        elif op[0] == "replace":
+            if tree.block_count == 0:
+                continue
+            block = op[1] % tree.block_count
+            expected = tree.physical_block(block)
+            assert tree.replace_block(block, op[2]) == expected
+            assert tree.physical_block(block) == op[2]
+        else:
+            # Targets from -1 (frees everything) to one past the end
+            # (frees nothing).
+            before = tree.block_count
+            nblocks = op[1] % (before + 3) - 1
+            want_freed, want_runs = _reference_truncate(
+                [(e.physical, e.length) for e in tree], nblocks)
+            freed = tree.truncate_to(nblocks)
+            assert freed == want_freed
+            assert [(e.physical, e.length) for e in tree] == want_runs
+            assert tree.block_count == min(max(nblocks, 0), before)
+            freed_total += sum(length for _p, length in freed)
+        tree.check_invariants()
+        assert tree.block_count == sum(e.length for e in tree)
+        assert freed_total + tree.block_count == appended
+

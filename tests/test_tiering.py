@@ -29,6 +29,8 @@ from repro.obs import CostDomain, Counter
 from repro.paging.flags import PageFlags
 from repro.paging.pagetable import PAGE_SIZE
 from repro.paging.schemes import make_scheme
+from repro.paging.tlb import AccessPattern
+from repro.paging.walker import PageWalker
 from repro.runner import run_sweep
 from repro.runner.manifest import Sweep
 from repro.runner.sweeps import build_sweep
@@ -41,6 +43,7 @@ from repro.tiering import (
     TieringDaemon,
 )
 from repro.topology import MachineTopology
+from repro.vm.vma import MapFlags, Protection
 
 MACHINE = DEFAULT_COSTS.machine
 
@@ -78,6 +81,67 @@ def test_unknown_medium_raises_everywhere():
         mem.memcpy(4096, Medium.DRAM, "hbm")
     with pytest.raises(InvalidArgumentError):
         mem.memcpy(4096, "hbm", Medium.DRAM)
+    # The spec-taking twins price a spec resolved by ``mem.spec``; a
+    # raw medium handed to them fails instead of pricing as PMem.
+    with pytest.raises(InvalidArgumentError):
+        mem.spec("hbm")
+    for twin in (lambda: mem.load_latency_spec("hbm"),
+                 lambda: mem.stream_read_spec(4096, "hbm"),
+                 lambda: mem.stream_write_spec(4096, "hbm"),
+                 lambda: mem.memcpy_spec(4096, mem.dram_spec, "hbm"),
+                 lambda: mem.memcpy_spec(4096, "hbm", mem.dram_spec)):
+        with pytest.raises(AttributeError):
+            twin()
+    # The walker memoises the last leaf medium's spec: an unknown leaf
+    # must raise whether or not a known one was priced before, and
+    # must not disturb the memo.
+    walker = PageWalker(DEFAULT_COSTS)
+    pmem = walker.walk_cost(AccessPattern.RANDOM, Medium.PMEM)
+    for leaf in ("hbm", None):
+        with pytest.raises(InvalidArgumentError, match="no MediumSpec"):
+            walker.walk_cost(AccessPattern.RANDOM, leaf)
+    assert walker.walk_cost(AccessPattern.RANDOM, Medium.PMEM) == pmem
+    with pytest.raises(InvalidArgumentError, match="no MediumSpec"):
+        PageWalker(DEFAULT_COSTS).walk_cost(AccessPattern.SEQUENTIAL,
+                                            "hbm")
+
+
+class _UnknownTier:
+    """A tier overlay that places every page on an unregistered
+    medium."""
+
+    def medium_for(self, inode, page):
+        return "hbm"
+
+    def note_touch(self, inode, first, last, write=False):
+        pass
+
+
+def test_unknown_tier_medium_raises_on_hot_paths():
+    """``read()``/``write()`` and the mapped access path resolve the
+    data medium's spec once per access; an overlay naming an unknown
+    medium must still fail loudly there."""
+    system = System(device_bytes=1 << 30, aged=False)
+    proc = system.new_process()
+
+    def setup():
+        f = yield from system.fs.open("/t", create=True)
+        yield from system.fs.write(f, 0, 8 * PAGE_SIZE)
+        vma = yield from proc.mm.mmap(
+            system.fs, f.inode, 0, 8 * PAGE_SIZE, Protection.READ,
+            MapFlags.SHARED | MapFlags.POPULATE)
+        return f, vma
+
+    thread = system.spawn(setup(), core=0)
+    system.run()
+    f, vma = thread.result
+    system.mem.tiers = _UnknownTier()
+    for flow in (lambda: system.fs.read(f, 0, PAGE_SIZE),
+                 lambda: system.fs.write(f, 0, PAGE_SIZE),
+                 lambda: proc.mm.access(vma, 0, PAGE_SIZE, copy=True)):
+        system.spawn(flow(), core=0)
+        with pytest.raises(InvalidArgumentError, match="no MediumSpec"):
+            system.run()
 
 
 def test_expander_pricing_sits_between_dram_and_pmem():
