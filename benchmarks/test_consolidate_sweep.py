@@ -23,6 +23,7 @@ import json
 from conftest import once
 
 from repro.analysis.report import format_sweep
+from repro.machine import MachineSpec
 from repro.obs import CostDomain
 from repro.runner import ResultCache, build_sweep, run_sweep
 from repro.tenancy.spec import ANTAGONIST_SPEC
@@ -45,7 +46,7 @@ def _tenant_p99(result) -> float:
 def test_consolidation_knee_sweep(benchmark, tmp_path, bench_extra):
     def build():
         return build_sweep("consolidate", ops=OPS, size=SIZE,
-                           media="optane", device_gib=1, aged=True)
+                           base=MachineSpec(device_gib=1, aged=True))
 
     def experiment():
         cold = run_sweep(build(), jobs=4,

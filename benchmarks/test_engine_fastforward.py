@@ -42,6 +42,7 @@ from pathlib import Path
 from conftest import once
 
 import repro.sim.engine as engine_mod
+from repro.machine import MachineSpec
 from repro.runner import build_sweep, run_sweep
 from repro.runner.worker import run_point
 
@@ -71,8 +72,8 @@ def _baseline_median() -> float:
 
 def _build():
     # Byte-for-byte the sweep BENCH_PR3 timed.
-    return build_sweep("numa", ops=800, size=32 << 10, media="optane",
-                       device_gib=4, aged=True)
+    return build_sweep("numa", ops=800, size=32 << 10,
+                       base=MachineSpec(device_gib=4, aged=True))
 
 
 def _calibrate() -> float:
@@ -194,7 +195,7 @@ def test_fast_forward_wins_same_process_ab(benchmark, bench_extra):
 def test_profile_hook_attributes_sweep_time(benchmark, bench_extra):
     def experiment():
         sweep = build_sweep("numa", ops=200, size=32 << 10,
-                            media="optane", device_gib=4, aged=True)
+                            base=MachineSpec(device_gib=4, aged=True))
         sweep.points = sweep.points[:3]
         return run_sweep(sweep, jobs=1, profile=True)
 

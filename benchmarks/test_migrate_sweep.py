@@ -23,6 +23,7 @@ from conftest import once
 
 from repro.analysis.report import format_sweep
 from repro.config import CostModel
+from repro.machine import MachineSpec
 from repro.runner import ResultCache, build_sweep, run_sweep
 
 OPS = 16
@@ -32,7 +33,7 @@ SIZE = 64 << 10
 def test_migrate_sweep(benchmark, tmp_path, bench_extra):
     def build():
         return build_sweep("migrate", ops=OPS, size=SIZE,
-                           media="optane", device_gib=1, aged=False)
+                           base=MachineSpec(device_gib=1, aged=False))
 
     def experiment():
         cold = run_sweep(build(), jobs=4,

@@ -24,6 +24,7 @@ import json
 from conftest import once
 
 from repro.analysis.report import format_sweep
+from repro.machine import MachineSpec
 from repro.obs import CostDomain
 from repro.runner import ResultCache, build_sweep, run_sweep
 
@@ -31,7 +32,7 @@ from repro.runner import ResultCache, build_sweep, run_sweep
 def test_mmu_scheme_sweep(benchmark, tmp_path):
     def build():
         return build_sweep("mmu", ops=48, size=4 << 20,
-                           media="optane", device_gib=1, aged=True)
+                           base=MachineSpec(device_gib=1, aged=True))
 
     def experiment():
         cold = run_sweep(build(), jobs=4,
@@ -59,7 +60,7 @@ def test_mmu_scheme_sweep(benchmark, tmp_path):
     def attach_cycles(workload, scheme, aged):
         for p in cold.points:
             if (p.point.series == f"{workload}+{scheme}"
-                    and p.point.aged is aged):
+                    and p.point.machine.aged is aged):
                 return p.ledger.event_total(CostDomain.FILETABLE,
                                             "attach")
         raise AssertionError(f"missing point {workload}+{scheme}")

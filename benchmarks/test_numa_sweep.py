@@ -18,13 +18,14 @@ import json
 from conftest import once
 
 from repro.analysis.report import format_sweep
+from repro.machine import MachineSpec
 from repro.runner import ResultCache, build_sweep, run_sweep
 
 
 def test_numa_placement_sweep(benchmark, tmp_path):
     def build():
         return build_sweep("numa", ops=800, size=32 << 10,
-                           media="optane", device_gib=4, aged=True)
+                           base=MachineSpec(device_gib=4, aged=True))
 
     def experiment():
         cold = run_sweep(build(), jobs=4,

@@ -12,13 +12,14 @@ import json
 from conftest import once
 
 from repro.analysis.report import format_sweep
+from repro.machine import MachineSpec
 from repro.runner import ResultCache, build_sweep, run_sweep
 
 
 def test_apache_sweep_cold_then_warm(benchmark, tmp_path):
     def build():
         return build_sweep("apache", ops=800, size=32 << 10,
-                           media="optane", device_gib=4, aged=True)
+                           base=MachineSpec(device_gib=4, aged=True))
 
     def experiment():
         cold = run_sweep(build(), jobs=2,

@@ -24,6 +24,7 @@ import json
 from conftest import once
 
 from repro.analysis.report import format_sweep
+from repro.machine import MachineSpec
 from repro.obs import CostDomain
 from repro.runner import ResultCache, build_sweep, run_sweep
 
@@ -34,7 +35,7 @@ SIZE = 64 << 10
 def test_tiering_break_even_sweep(benchmark, tmp_path, bench_extra):
     def build():
         return build_sweep("tiering", ops=OPS, size=SIZE,
-                           media="optane", device_gib=1, aged=False)
+                           base=MachineSpec(device_gib=1, aged=False))
 
     def experiment():
         cold = run_sweep(build(), jobs=4,
@@ -62,7 +63,7 @@ def test_tiering_break_even_sweep(benchmark, tmp_path, bench_extra):
     def cycles(series, tier):
         for p in cold.points:
             if (p.point.series == series
-                    and p.point.tiering.get("data") == tier):
+                    and p.point.machine.tier == tier):
                 return p.run.cycles
         raise AssertionError(f"missing point {series}@{tier}")
 
@@ -90,12 +91,12 @@ def test_tiering_break_even_sweep(benchmark, tmp_path, bench_extra):
     for p in cold.points:
         scans = p.stats.get("tiering.scans")
         tier_cycles = p.ledger.domain_total(CostDomain.TIERING)
-        if p.point.tiering.get("daemon"):
+        if p.point.machine.ktierd is not None:
             assert scans > 0 and tier_cycles > 0
         else:
             assert scans == 0 and tier_cycles == 0
     assert any(p.stats.get("tiering.promoted_pages") > 0
-               for p in cold.points if p.point.tiering.get("daemon"))
+               for p in cold.points if p.point.machine.ktierd is not None)
 
     bench_extra["break_even"] = {
         tier: {series: cycles(series, tier)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Callable, Dict
 
 from repro.analysis.report import (
@@ -22,7 +23,7 @@ from repro.analysis.report import (
 from repro.analysis.results import Table
 from repro.config import MEDIA_PRESETS
 from repro.obs import Counter
-from repro.topology import PLACEMENTS, MachineTopology
+from repro.topology import PLACEMENTS
 from repro.runner import (
     DEFAULT_CACHE_DIR,
     ResultCache,
@@ -32,7 +33,7 @@ from repro.runner import (
 )
 from repro.paging.schemes import SCHEME_NAMES
 from repro.paging.tlb import AccessPattern
-from repro.system import System
+from repro.machine import MachineSpec
 from repro.workloads import (
     ApacheConfig,
     AppendConfig,
@@ -73,28 +74,28 @@ def perf_target(name: str, help_text: str):
     return decorate
 
 
-def _system(args, **kw) -> System:
-    costs = MEDIA_PRESETS[args.media]()
-    node_kinds = getattr(args, "node_kinds", None)
-    if node_kinds:
-        kinds = tuple(k.strip() for k in node_kinds.split(",")
-                      if k.strip())
-        topology = MachineTopology.with_kinds(costs.machine, kinds)
-    else:
-        topology = (MachineTopology.split(costs.machine, args.nodes)
-                    if args.nodes > 1 else None)
-    kw.setdefault("scheme", args.scheme)
-    system = System(costs=costs, device_bytes=args.device << 30,
-                    aged=not args.fresh, topology=topology,
-                    placement=args.policy, pin_node=args.pin_node, **kw)
-    tiering = getattr(args, "tiering", None)
-    if tiering:
-        from repro.mem.physmem import Medium
+def _machine(args) -> MachineSpec:
+    """The machine the global flags describe.
 
-        data, _, flag = tiering.partition(":")
-        system.attach_tiering(data_medium=Medium(data),
-                              daemon=flag == "daemon")
-    return system
+    ``--fs`` is left out: it reaches only the experiments that compare
+    file systems (ycsb and the replica audits); the rest pin ext4.
+    """
+    if args.node_kinds:
+        nodes = tuple(k.strip() for k in args.node_kinds.split(",")
+                      if k.strip())
+    else:
+        nodes = ("ddr",) * max(1, args.nodes)
+    tier = ktierd = None
+    if args.tiering:
+        tier, _, flag = args.tiering.partition(":")
+        if flag == "daemon":
+            from repro.tiering import TieringConfig
+
+            ktierd = TieringConfig()
+    return MachineSpec(media=args.media, device_gib=args.device,
+                       aged=not args.fresh, nodes=nodes,
+                       placement=args.policy, pin_node=args.pin_node,
+                       scheme=args.scheme, tier=tier, ktierd=ktierd)
 
 
 @experiment("ephemeral", "read-once file access across interfaces")
@@ -103,7 +104,7 @@ def _ephemeral(args):
                   ["interface", "us/file", "MB/s"])
     for interface in (Interface.READ, Interface.MMAP,
                       Interface.MMAP_POPULATE, Interface.DAXVM):
-        system = _system(args)
+        system = _machine(args).build()
         cfg = EphemeralConfig(file_size=args.size, num_files=args.ops,
                               num_threads=args.threads,
                               interface=interface)
@@ -114,9 +115,11 @@ def _ephemeral(args):
 
 def _run_named_sweep(args, name: str):
     """Build and execute a registered sweep with the CLI knobs."""
-    sweep = build_sweep(name, ops=args.ops, size=args.size,
-                        media=args.media, device_gib=args.device,
-                        aged=not args.fresh)
+    # Sweeps take media, device size and age from the flags; every
+    # other machine knob is a sweep axis or pinned per point.
+    base = MachineSpec(media=args.media, device_gib=args.device,
+                       aged=not args.fresh)
+    sweep = build_sweep(name, ops=args.ops, size=args.size, base=base)
     if args.max_points is not None and len(sweep.points) > args.max_points:
         print(f"sweep: truncating {name} to the first {args.max_points} "
               f"of {len(sweep.points)} points (--max-points)",
@@ -144,7 +147,7 @@ def _repetitive(args):
     for pattern in (AccessPattern.SEQUENTIAL, AccessPattern.RANDOM):
         for interface in (Interface.READ, Interface.MMAP,
                           Interface.DAXVM):
-            system = _system(args)
+            system = _machine(args).build()
             cfg = RepetitiveConfig(
                 file_size=96 << 20, op_size=4096,
                 num_ops=(96 << 20) // 4096, pattern=pattern,
@@ -174,7 +177,7 @@ def _ablations(args):
 def _predis(args):
     for interface in (Interface.MMAP, Interface.MMAP_POPULATE,
                       Interface.DAXVM):
-        system = _system(args)
+        system = _machine(args).build()
         cfg = PRedisConfig(cache_size=512 << 20, num_gets=args.ops,
                            window=max(500, args.ops // 16),
                            interface=interface)
@@ -198,7 +201,7 @@ def _ycsb(args):
          True),
     ]
     for name, interface, opts, prezero in variants:
-        system = _system(args, fs_type=args.fs)
+        system = replace(_machine(args), fs=args.fs).build()
         kv = KVConfig(interface=interface)
         if opts is not None:
             kv = KVConfig(interface=interface, daxvm=opts)
@@ -214,11 +217,11 @@ def _ycsb(args):
 def _media(args):
     table = Table("32KB ephemeral access across media",
                   ["media", "read us", "daxvm us", "daxvm/read"])
-    for media, factory in MEDIA_PRESETS.items():
+    for media in MEDIA_PRESETS:
         out = {}
         for interface in (Interface.READ, Interface.DAXVM):
-            system = System(costs=factory(),
-                            device_bytes=args.device << 30, aged=True)
+            system = MachineSpec(media=media, device_gib=args.device,
+                                 aged=True).build()
             cfg = EphemeralConfig(file_size=32 << 10,
                                   num_files=args.ops,
                                   interface=interface)
@@ -230,23 +233,20 @@ def _media(args):
     print(format_table(table))
 
 
+def _replica(args) -> MachineSpec:
+    """The machine every crash/fault/migration replica is built from:
+    the flags' machine on a fresh image (each replica rebuilds the
+    machine from scratch, and aging churn adds nothing to durability
+    or poison-handling coverage)."""
+    return replace(_machine(args), aged=False, fs=args.fs)
+
+
 @experiment("crash", "crash-point injection + recovery audit")
 def _crash(args):
     from repro.crash import run_crash
 
-    costs = MEDIA_PRESETS[args.media]()
-    topology = (MachineTopology.split(costs.machine, args.nodes)
-                if args.nodes > 1 else None)
-
-    def factory() -> System:
-        # Fresh images: aging churn adds nothing to durability coverage
-        # and each crash point rebuilds the machine from scratch.
-        return System(costs=costs, device_bytes=args.device << 30,
-                      aged=False, fs_type=args.fs, topology=topology,
-                      placement=args.policy, pin_node=args.pin_node)
-
-    summary = run_crash(factory, args.workload, seed=args.seed,
-                        max_points=args.max_points)
+    summary = run_crash(_replica(args).build, args.workload,
+                        seed=args.seed, max_points=args.max_points)
     if args.json:
         print(json.dumps(summary.to_state(), indent=2, sort_keys=True))
     else:
@@ -276,19 +276,8 @@ def _faults(args):
         raise SystemExit(
             f"faults: unknown workload {args.workload!r}; known: "
             + ", ".join(sorted(FAULT_WORKLOADS)))
-    costs = MEDIA_PRESETS[args.media]()
-    topology = (MachineTopology.split(costs.machine, args.nodes)
-                if args.nodes > 1 else None)
-
-    def factory() -> System:
-        # Fresh images: each armed site rebuilds the machine, and
-        # aging churn adds nothing to poison-handling coverage.
-        return System(costs=costs, device_bytes=args.device << 30,
-                      aged=False, fs_type=args.fs, topology=topology,
-                      placement=args.policy, pin_node=args.pin_node)
-
-    summary = run_faults(factory, args.workload, seed=args.seed,
-                         max_sites=args.max_sites)
+    summary = run_faults(_replica(args).build, args.workload,
+                         seed=args.seed, max_sites=args.max_sites)
     if args.json:
         print(json.dumps(summary.to_state(), indent=2, sort_keys=True))
     else:
@@ -318,7 +307,7 @@ def _migrate(args):
         seeds=(args.seed, args.seed + 1),
         max_points=args.max_points, max_sites=args.max_sites,
         composed_points=max(2, min(args.max_points, 6)),
-        media=args.media, device_gib=args.device)
+        machine=_replica(args))
     if args.json:
         print(json.dumps(summary.to_state(), indent=2, sort_keys=True))
     else:
@@ -344,7 +333,7 @@ def _perf_fig7(args):
     """Where do mmap-append cycles go?  The ledger answers directly:
     zeroing dominates (the paper's Fig. 7 motivation) without any
     bench-side counter arithmetic."""
-    system = _system(args)
+    system = _machine(args).build()
     cfg = AppendConfig(append_size=args.size if args.size != 32 << 10
                        else 256 << 10,
                        num_appends=max(8, args.ops // 8),
@@ -379,7 +368,7 @@ def _perf_fig8a(args):
     """The rw-semaphore contention behind Fig. 8a's mmap collapse:
     per-lock wait and hold cycles recorded by the locks themselves."""
     workers = args.threads if args.threads > 1 else 8
-    system = _system(args)
+    system = _machine(args).build()
     cfg = ApacheConfig(num_workers=workers, requests=args.ops,
                        interface=ServerInterface.MMAP)
     r = run_apache(system, cfg)
@@ -408,9 +397,10 @@ def _perf_numa(args):
     mmap workload under the requested placement and reports the
     local/remote access split, cross-socket shootdown IPIs and the
     remote-access cycles the ledger attributes to the numa domain."""
-    if args.nodes < 2:
-        args.nodes = 2
-    system = _system(args)
+    spec = _machine(args)
+    if len(spec.nodes) < 2:
+        spec = replace(spec, nodes=("ddr", "ddr"))
+    system = spec.build()
     threads = args.threads if args.threads > 1 else 4
     cfg = EphemeralConfig(file_size=args.size, num_files=args.ops,
                           num_threads=threads, interface=Interface.MMAP,
@@ -424,7 +414,7 @@ def _perf_numa(args):
         print(json.dumps({
             "target": "numa",
             "label": r.label,
-            "nodes": args.nodes,
+            "nodes": len(spec.nodes),
             "placement": args.policy,
             "pin_node": args.pin_node,
             "cycles": r.cycles,
@@ -435,7 +425,7 @@ def _perf_numa(args):
         }, indent=2, sort_keys=True))
         return
     print(format_domain_breakdown(
-        f"mmap read-once, {args.nodes} sockets, placement="
+        f"mmap read-once, {len(spec.nodes)} sockets, placement="
         f"{args.policy}, threads pinned to node {args.pin_node} "
         f"(cycles by cost domain)", r.domains))
     accesses = (counters["numa.local_accesses"]
@@ -475,6 +465,7 @@ def _perf_mmu(args):
 
     costs = MEDIA_PRESETS[args.media]()
     walker = PageWalker(costs)
+    spec = _machine(args)
     cases = [("seq/DRAM", AccessPattern.SEQUENTIAL, Medium.DRAM),
              ("rand/DRAM", AccessPattern.RANDOM, Medium.DRAM),
              ("seq/PMem", AccessPattern.SEQUENTIAL, Medium.PMEM),
@@ -482,7 +473,8 @@ def _perf_mmu(args):
     walk_rows = {}
     bench_rows = {}
     for name in SCHEME_NAMES:
-        probe = make_scheme(name, System(costs=costs).physmem, costs)
+        physmem = MachineSpec(media=args.media).build().physmem
+        probe = make_scheme(name, physmem, costs)
         # The walk costs a DaxVM mapping on this scheme actually pays:
         # schemes that copy translations into process-private DRAM
         # never see the PMem leaf penalty.
@@ -501,7 +493,7 @@ def _perf_mmu(args):
         walks["frames_2mb"] = len(probe.structure_frames())
         walk_rows[name] = walks
 
-        system = _system(args, scheme=name)
+        system = replace(spec, scheme=name).build()
         cfg = SyncConfig(file_size=max(args.size, 4 << 20),
                          op_size=1 << 10, ops_per_sync=8,
                          num_syncs=max(8, min(args.ops, 64)),
@@ -552,48 +544,41 @@ def _perf_tiering(args):
     medium, default cxl), once without and once with the migration
     daemon, and reports total cycles, the ledger's ``tiering`` domain,
     the migration counters and the final tier residency."""
-    from repro.mem.physmem import Medium
     from repro.obs import CostDomain
     from repro.tiering import TieringConfig
     from repro.workloads import SyncConfig, SyncDiscipline, run_sync
 
-    tier = (args.tiering or "cxl").partition(":")[0]
-    saved_tiering, args.tiering = args.tiering, None
-    if tier == "cxl" and not getattr(args, "node_kinds", None):
-        args.node_kinds = "ddr,cxl"
+    spec = _machine(args)
+    tier = spec.tier or "cxl"
+    if tier == "cxl" and not args.node_kinds:
+        spec = replace(spec, nodes=("ddr", "cxl"))
+    ktierd = TieringConfig(scan_interval=5e5, hot_touches=1, cold_scans=4)
     rows = {}
-    try:
-        for daemon in (False, True):
-            system = _system(args)
-            tiers = system.attach_tiering(
-                data_medium=Medium(tier), daemon=daemon,
-                config=TieringConfig(scan_interval=5e5, hot_touches=1,
-                                     cold_scans=4) if daemon else None)
-            cfg = SyncConfig(file_size=max(args.size, 4 << 20),
-                             op_size=1 << 10, ops_per_sync=16,
-                             num_syncs=max(8, min(args.ops, 64)),
-                             discipline=SyncDiscipline.DAXVM_FSYNC)
-            r = run_sync(system, cfg)
-            rows["ktierd" if daemon else "static"] = {
-                "cycles": r.cycles,
-                "domains": r.domains,
-                "tiering_cycles": system.ledger.domain_total(
-                    CostDomain.TIERING),
-                "scans": system.stats.get(Counter.TIERING_SCANS),
-                "promoted_pages": system.stats.get(
-                    Counter.TIERING_PROMOTED_PAGES),
-                "demoted_pages": system.stats.get(
-                    Counter.TIERING_DEMOTED_PAGES),
-                "migrated_bytes": system.stats.get(
-                    Counter.TIERING_MIGRATED_BYTES),
-                "writeback_bytes": system.stats.get(
-                    Counter.TIERING_WRITEBACK_BYTES),
-                "shootdowns": system.stats.get(
-                    Counter.TIERING_SHOOTDOWNS),
-                "residency": tiers.residency(),
-            }
-    finally:
-        args.tiering = saved_tiering
+    for daemon in (False, True):
+        system = replace(spec, tier=tier,
+                         ktierd=ktierd if daemon else None).build()
+        cfg = SyncConfig(file_size=max(args.size, 4 << 20),
+                         op_size=1 << 10, ops_per_sync=16,
+                         num_syncs=max(8, min(args.ops, 64)),
+                         discipline=SyncDiscipline.DAXVM_FSYNC)
+        r = run_sync(system, cfg)
+        rows["ktierd" if daemon else "static"] = {
+            "cycles": r.cycles,
+            "domains": r.domains,
+            "tiering_cycles": system.ledger.domain_total(
+                CostDomain.TIERING),
+            "scans": system.stats.get(Counter.TIERING_SCANS),
+            "promoted_pages": system.stats.get(
+                Counter.TIERING_PROMOTED_PAGES),
+            "demoted_pages": system.stats.get(
+                Counter.TIERING_DEMOTED_PAGES),
+            "migrated_bytes": system.stats.get(
+                Counter.TIERING_MIGRATED_BYTES),
+            "writeback_bytes": system.stats.get(
+                Counter.TIERING_WRITEBACK_BYTES),
+            "shootdowns": system.stats.get(Counter.TIERING_SHOOTDOWNS),
+            "residency": system.mem.tiers.residency(),
+        }
     if args.json:
         print(json.dumps({"target": "tiering", "tier": tier,
                           "media": args.media, "rows": rows},
@@ -646,11 +631,12 @@ def _perf_consolidate(args):
             rows[tenant.name] = hist
         return rows
 
+    spec = _machine(args)
     knee = []
     for n in counts:
-        system = _system(args)
         config = consolidate_config(n, "apache", requests=requests)
-        run = run_consolidate(system, config)
+        system = replace(spec, tenancy=config).build()
+        run = run_consolidate(system)
         hists = tenant_p99s(system, run, config)
         p50s = [h.get("p50", 0.0) for h in hists.values()]
         p99s = [h.get("p99", 0.0) for h in hists.values()]
@@ -662,10 +648,10 @@ def _perf_consolidate(args):
             "p99": max(p99s) if p99s else 0.0,
         })
 
-    system = _system(args)
     config = consolidate_config(args.tenants, "apache", quotas=True,
                                 antagonist=True, requests=requests)
-    run = run_consolidate(system, config)
+    system = replace(spec, tenancy=config).build()
+    run = run_consolidate(system)
     runtime = system.tenancy
     views = runtime.ledger_views()
     hists = tenant_p99s(system, run, config)
@@ -741,10 +727,11 @@ def _perf_migrate(args):
                                 migrate_after=24, force_degraded=True,
                                 seed=args.seed)),
     ]
+    spec = _machine(args)
     rows = {}
     for name, config in variants:
         _reset_naming_counters()
-        system = _system(args)
+        system = replace(spec, virt=config).build()
         if config is None:
             CRASH_WORKLOADS[workload](system)
             rows[name] = {"cycles": system.engine.now, "virt_cycles": 0.0,
@@ -753,7 +740,6 @@ def _perf_migrate(args):
                           "degraded": 0.0, "completed": 0.0,
                           "aborted": 0.0}
             continue
-        system.attach_hypervisor(config)
         r = run_migrate(system, workload)
         rows[name] = {
             "cycles": r.cycles,

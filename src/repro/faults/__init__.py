@@ -7,7 +7,7 @@ Public surface::
 
     from repro.faults import FaultPlan, FaultKind, MediaFaults, run_faults
 
-    summary = run_faults(lambda: System(device_bytes=1 << 30),
+    summary = run_faults(MachineSpec(device_gib=1).build,
                          "syncbench", seed=7, max_sites=64)
     assert not summary.violations
 """

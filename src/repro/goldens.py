@@ -10,25 +10,22 @@ intentionally moves simulated numbers, and say so in the change.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import repro.sim.engine as engine_mod
-from repro.config import MEDIA_PRESETS
 from repro.crash.injector import run_crash
 from repro.crash.workloads import CRASH_WORKLOADS
 from repro.faults import FaultPlan, MediaFaults
+from repro.machine import MachineSpec
 from repro.obs import CostDomain
 from repro.runner.manifest import SweepPoint
 from repro.runner.sweeps import POINT_RUNNERS, build_sweep
 from repro.runner.worker import (_reset_naming_counters, build_system,
                                  run_point, system_state)
-from repro.system import System
 from repro.tenancy.runtime import _run_untenanted
-from repro.tenancy.spec import TenancyConfig
 from repro.virt import VirtConfig
 from repro.workloads import (ApacheConfig, EphemeralConfig, Interface,
                              ServerInterface, run_apache, run_ephemeral)
@@ -74,15 +71,15 @@ def render(states: States) -> str:
 # -- sweep points ------------------------------------------------------------
 def _knobs(ops: int, aged: bool = False) -> Dict[str, object]:
     """Builder knobs of a pinned sweep (the CI smoke's machine shape)."""
-    return {"ops": ops, "size": 64 << 10, "media": "optane",
-            "device_gib": 1, "aged": aged}
+    return {"ops": ops, "size": 64 << 10,
+            "base": MachineSpec(device_gib=1, aged=aged)}
 
 
 def _pinned_points(pinned: tuple) -> Iterator[Tuple[str, SweepPoint]]:
     """``(group, point)`` for every ``(sweep, knobs, xs, series or
     None)`` entry's kept points; aged sweeps group as ``<sweep>-aged``."""
     for name, knobs, xs, series in pinned:
-        group = f"{name}-aged" if knobs["aged"] else name
+        group = f"{name}-aged" if knobs["base"].aged else name
         for point in build_sweep(name, **knobs).points:
             if point.x in xs and (series is None or point.series in series):
                 yield group, point
@@ -119,18 +116,18 @@ def mmu(variant: str) -> States:
     :class:`~repro.paging.schemes.TranslationScheme`; every fault,
     attach, walk and teardown must still charge the cycles it charged
     when ``MMStruct`` called ``PageTable`` directly.  Captured before
-    the interface landed.  ``default`` builds with ``System``'s default
-    scheme, ``radix4`` spells it out.  The points cross demand faults,
+    the interface landed.  ``default`` builds with ``MachineSpec``'s
+    default scheme, ``radix4`` spells it out.  The points cross demand faults,
     DaxVM attach/detach, TLB walk charging and fork/teardown, on clean
     and aged images.
     """
-    scheme = variant
-    if variant == "default":
-        scheme = inspect.signature(System).parameters["scheme"].default
+    scheme = MachineSpec().scheme if variant == "default" else variant
     return _grouped((("scaling", _knobs(8), (1, 2), None),
                      ("scaling", _knobs(6, aged=True), (2,), None),
                      ("apache", _knobs(12, aged=True), (1, 4), None)),
-                    lambda point: _point_state(replace(point, scheme=scheme)))
+                    lambda point: _point_state(replace(
+                        point, machine=replace(point.machine,
+                                               scheme=scheme))))
 
 
 @_golden("engine_equivalence.json", variants=("fast-forward", "classic"),
@@ -202,16 +199,17 @@ def tier(variant: str) -> States:
 
 def _untenanted_state(point: SweepPoint) -> States:
     """The only tenant's plain runner on a machine without tenancy."""
-    config = TenancyConfig.from_state(point.tenancy)
+    config = point.machine.tenancy
     assert config.passive, "pinned points must be degenerate"
-    system = build_system(replace(point, tenancy={}))
+    system = build_system(replace(
+        point, machine=replace(point.machine, tenancy=None)))
     run = _run_untenanted(system, config.tenants[0])
     return _without_wall(system_state(run, system))
 
 
 def _passive_state(point: SweepPoint) -> States:
-    """The full sweep path, tenancy payload attached."""
-    assert point.tenancy, "pinned points must carry tenancy payloads"
+    """The full sweep path, tenancy config attached."""
+    assert point.machine.tenancy, "pinned points must carry tenancy"
     return _without_wall(run_point(point.to_payload()))
 
 
@@ -225,7 +223,7 @@ def tenancy(variant: str) -> States:
     bit-identical to a machine that never heard of tenants.  Captured
     from the un-tenanted runners for the three single-tenant no-quota
     ``consolidate`` points; ``passive`` replays them through
-    ``run_point`` with the tenancy payload attached (the degenerate
+    ``run_point`` with the tenancy config attached (the degenerate
     dispatch in :func:`repro.tenancy.runtime.run_consolidate`).
     """
     pinned = (("consolidate", _knobs(8, aged=True), (1,),
@@ -258,7 +256,7 @@ def numa(variant: str) -> States:
     out: Dict[str, object] = {}
     for name, runner in runs.items():
         _reset_naming_counters()
-        system = System(device_bytes=2 << 30, aged=True)
+        system = MachineSpec(device_gib=2, aged=True).build()
         run = runner(system)
         out[name] = {
             "label": run.label,
@@ -287,7 +285,7 @@ def crash(variant: str) -> States:
     """
     out: Dict[str, object] = {}
     for workload, max_points in (("syncbench", 12), ("kvstore", 8)):
-        state = run_crash(lambda: System(device_bytes=1 << 30), workload,
+        state = run_crash(MachineSpec(device_gib=1).build, workload,
                           seed=0, max_points=max_points).to_state()
         assert state["invariant_violations"] == 0, (
             f"{workload}: crash recovery violated an invariant")
@@ -299,11 +297,10 @@ def crash(variant: str) -> States:
 def _guest_state(workload: str, pass_through: bool) -> States:
     """Clock, counters and per-domain ledger after one guest run."""
     _reset_naming_counters()
-    system = System(costs=MEDIA_PRESETS["optane"](),
-                    device_bytes=1 << 30, aged=False)
+    system = MachineSpec(device_gib=1,
+                         virt=VirtConfig() if pass_through else None).build()
     if pass_through:
-        hypervisor = system.attach_hypervisor(VirtConfig())
-        assert hypervisor.config.passive
+        assert system.hypervisor.config.passive
     CRASH_WORKLOADS[workload](system)
     if system.hypervisor is not None:
         system.hypervisor.finalize()

@@ -3,9 +3,10 @@
 The paper's figures are sweeps — thread counts (Figs. 1b, 8a), append
 sizes (Fig. 7), ablation matrices (§V-C) — and every sweep decomposes
 into independent *points*: one simulated :class:`~repro.system.System`
-built from a media preset, driven by one workload configuration.  A
-:class:`SweepPoint` captures everything a point depends on as plain
-JSON-safe data, which buys three things at once:
+built from a :class:`~repro.machine.MachineSpec`, driven by one
+workload configuration.  A :class:`SweepPoint` captures everything a
+point depends on as plain JSON-safe data, which buys three things at
+once:
 
 * points can be shipped to ``multiprocessing`` workers (picklable,
   no live simulator state crosses the process boundary);
@@ -24,6 +25,7 @@ from typing import Dict, List
 
 from repro.analysis.results import RunResult
 from repro.config import MEDIA_PRESETS
+from repro.machine import MachineSpec
 from repro.obs.ledger import Ledger
 from repro.sim.stats import Stats
 
@@ -40,85 +42,40 @@ class SweepPoint:
     x: float
     #: Keyword arguments for the point runner.  JSON-safe values only.
     params: Dict[str, object] = field(default_factory=dict)
-    #: Media preset naming the :class:`~repro.config.CostModel`.
-    media: str = "optane"
-    #: Device size in GiB.
-    device_gib: int = 4
-    #: Aged (fragmented) file-system image?
-    aged: bool = True
-    #: NUMA sockets (1 = the historical uniform machine).
-    num_nodes: int = 1
-    #: File/device placement relative to ``pin_node`` — one of
-    #: :data:`repro.topology.PLACEMENTS`; a no-op on one node.
-    placement: str = "local"
-    #: Socket the placement is defined against.
-    pin_node: int = 0
-    #: Translation architecture (see :data:`repro.paging.schemes.
-    #: SCHEMES`); part of the payload, hence of the cache key.
-    scheme: str = "radix4"
-    #: Memory-expander node kinds beyond the ddr sockets, as a
-    #: comma-joined string (e.g. ``"cxl"`` or ``"cxl,far"``); empty =
-    #: the historical DRAM+PMem machine.  JSON-safe by construction.
-    node_kinds: str = ""
-    #: Tier overlay for the point: ``{}`` = none (pre-tiering model);
-    #: otherwise ``{"data": "cxl", "daemon": true, ...}`` — consumed by
-    #: the worker's ``attach_tiering`` call.  Part of the payload,
+    #: The machine the point runs on; its state is part of the payload,
     #: hence of the cache key.
-    tiering: Dict[str, object] = field(default_factory=dict)
-    #: Tenancy shape for the point: ``{}`` = an un-tenanted machine;
-    #: otherwise a :meth:`repro.tenancy.TenancyConfig.to_state` dict —
-    #: consumed by the worker's ``attach_tenancy`` call.  Part of the
-    #: payload, hence of the cache key.
-    tenancy: Dict[str, object] = field(default_factory=dict)
-    #: Hypervisor/migration shape for the point: ``{}`` = a bare
-    #: machine; otherwise a :meth:`repro.virt.VirtConfig.to_state`
-    #: dict — consumed by the ``migrate`` point runner.  Part of the
-    #: payload, hence of the cache key.
-    virt: Dict[str, object] = field(default_factory=dict)
+    machine: MachineSpec = MachineSpec()
 
     @property
     def label(self) -> str:
         return f"{self.series}@{self.x:g}"
 
     def to_payload(self) -> Dict[str, object]:
-        """Plain-dict form for worker processes and hashing.
-
-        Topology fields are part of the payload, so cache keys cover
-        the machine's NUMA shape: the same workload on 1 vs 2 sockets
-        (or local vs remote placement) hashes to different results.
-        """
+        """Plain-dict form for worker processes and hashing."""
         return {
             "experiment": self.experiment,
             "series": self.series,
             "x": self.x,
             "params": dict(self.params),
-            "media": self.media,
-            "device_gib": self.device_gib,
-            "aged": self.aged,
-            "num_nodes": self.num_nodes,
-            "placement": self.placement,
-            "pin_node": self.pin_node,
-            "scheme": self.scheme,
-            "node_kinds": self.node_kinds,
-            "tiering": dict(self.tiering),
-            "tenancy": dict(self.tenancy),
-            "virt": dict(self.virt),
+            "machine": self.machine.to_state(),
         }
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "SweepPoint":
-        return cls(**payload)
+        return cls(**{**payload, "machine":
+                      MachineSpec.from_state(payload["machine"])})
 
     def cache_key(self, code_fingerprint: str) -> str:
         """Content hash identifying this point's result.
 
-        The key covers the experiment name, the full point config, the
-        *values* of every cost-model constant the media preset expands
-        to (not just the preset's name — retuning ``config.py`` must
-        invalidate old results), and a fingerprint of the package
-        source, so any code change re-simulates.
+        The key covers the experiment name, the full point config
+        (the whole machine spec included), the *values* of every
+        cost-model constant the media preset expands to (not just the
+        preset's name — retuning ``config.py`` must invalidate old
+        results), and a fingerprint of the package source, so any code
+        change re-simulates.
         """
-        costs = MEDIA_PRESETS[self.media]()
+        costs = MEDIA_PRESETS[self.machine.media]()
         blob = json.dumps(
             {"point": self.to_payload(),
              "costs": costs.to_stable_dict(),

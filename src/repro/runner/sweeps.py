@@ -2,7 +2,8 @@
 
 A *point runner* maps ``(system, **params)`` to a
 :class:`~repro.analysis.results.RunResult` — the unit of work a pool
-worker executes.  A *sweep builder* expands CLI-level knobs into a
+worker executes.  A *sweep builder* expands CLI-level knobs and a base
+:class:`~repro.machine.MachineSpec` into a
 :class:`~repro.runner.manifest.Sweep` of independent points.  Both are
 looked up by name, so the CLI, the benchmarks and the tests share one
 definition of what "the apache sweep" means.
@@ -10,9 +11,11 @@ definition of what "the apache sweep" means.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Dict, Optional
 
 from repro.analysis.results import RunResult
+from repro.machine import MachineSpec
 from repro.runner.manifest import Sweep, SweepPoint
 from repro.system import System
 from repro.topology import PLACEMENTS
@@ -90,43 +93,27 @@ def _apache_point(system: System, *, num_workers: int, requests: int,
 
 @point_runner("crash")
 def _crash_point(system: System, *, workload: str, seed: int,
-                 max_points: int, media: str = "optane",
-                 device_gib: int = 1) -> RunResult:
+                 max_points: int) -> RunResult:
     """Crash sweeps rebuild a machine per crash point, so the pool's
-    pre-built ``system`` is unused; the factory mirrors its media and
-    device size.  Fresh images only — aging churn per replica is pure
-    overhead for durability coverage."""
-    from repro.config import MEDIA_PRESETS
+    pre-built ``system`` is unused: every replica is built from the
+    point's own spec.  Its image is fresh — aging churn per replica is
+    pure overhead for durability coverage."""
     from repro.crash import run_crash
 
-    costs_factory = MEDIA_PRESETS[media]
-
-    def factory() -> System:
-        return System(costs=costs_factory(),
-                      device_bytes=device_gib << 30, aged=False)
-
-    summary = run_crash(factory, workload, seed=seed,
+    summary = run_crash(system.spec.build, workload, seed=seed,
                         max_points=max_points)
     return summary.to_result()
 
 
 @point_runner("faults")
 def _faults_point(system: System, *, workload: str, seed: int,
-                  max_sites: int, media: str = "optane",
-                  device_gib: int = 1) -> RunResult:
+                  max_sites: int) -> RunResult:
     """Media-fault sweeps rebuild a machine per armed site (same
     replica discipline as crash points), so the pool's pre-built
-    ``system`` is unused; the factory mirrors its media and size."""
-    from repro.config import MEDIA_PRESETS
+    ``system`` is unused: every replica is built from its spec."""
     from repro.faults import run_faults
 
-    costs_factory = MEDIA_PRESETS[media]
-
-    def factory() -> System:
-        return System(costs=costs_factory(),
-                      device_bytes=device_gib << 30, aged=False)
-
-    summary = run_faults(factory, workload, seed=seed,
+    summary = run_faults(system.spec.build, workload, seed=seed,
                          max_sites=max_sites)
     return summary.to_result()
 
@@ -194,8 +181,7 @@ def _selftest_point(system: System, *, mode: str,
 # Sweep builders (figure -> list of points).
 # ---------------------------------------------------------------------------
 @sweep("scaling", "read-once throughput vs thread count (fig 1b)")
-def _scaling_sweep(*, ops: int, size: int, media: str, device_gib: int,
-                   aged: bool) -> Sweep:
+def _scaling_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
     points = []
     for threads in (1, 2, 4, 8, 16):
         for interface in (Interface.READ, Interface.MMAP,
@@ -206,15 +192,14 @@ def _scaling_sweep(*, ops: int, size: int, media: str, device_gib: int,
                 params={"file_size": size, "num_files": ops,
                         "num_threads": threads,
                         "interface": interface.value},
-                media=media, device_gib=device_gib, aged=aged))
+                machine=base))
     return Sweep(name="scaling",
                  title="Read-once throughput (Kops/s)",
                  points=points, axis="threads")
 
 
 @sweep("apache", "webserver scalability (fig 8a)")
-def _apache_sweep(*, ops: int, size: int, media: str, device_gib: int,
-                  aged: bool) -> Sweep:
+def _apache_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
     bars = [("read", ServerInterface.READ, None),
             ("mmap", ServerInterface.MMAP, None),
             ("daxvm", ServerInterface.DAXVM, DaxVMOptions.full())]
@@ -227,16 +212,14 @@ def _apache_sweep(*, ops: int, size: int, media: str, device_gib: int,
                 params["daxvm"] = _daxvm_params(opts)
             points.append(SweepPoint(
                 experiment="apache", series=series, x=workers,
-                params=params, media=media, device_gib=device_gib,
-                aged=aged))
+                params=params, machine=base))
     return Sweep(name="apache",
                  title="Apache throughput (Kreq/s)",
                  points=points, axis="cores")
 
 
 @sweep("ablations", "incremental DaxVM mechanisms at 16 cores (§V-C)")
-def _ablations_sweep(*, ops: int, size: int, media: str,
-                     device_gib: int, aged: bool) -> Sweep:
+def _ablations_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
     workers = 16
     bars = [
         ("read", ServerInterface.READ, None, None),
@@ -258,8 +241,7 @@ def _ablations_sweep(*, ops: int, size: int, media: str,
             params["batch_pages"] = batch
         points.append(SweepPoint(
             experiment="apache", series=series, x=workers,
-            params=params, media=media, device_gib=device_gib,
-            aged=aged))
+            params=params, machine=base))
     return Sweep(name="ablations",
                  title=f"Fig. 8a incremental bars, {workers} cores "
                        f"(Kreq/s)",
@@ -267,60 +249,57 @@ def _ablations_sweep(*, ops: int, size: int, media: str,
 
 
 @sweep("crash", "crash-point injection + recovery audit per workload")
-def _crash_sweep(*, ops: int, size: int, media: str, device_gib: int,
-                 aged: bool) -> Sweep:
+def _crash_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
     """Both crash workloads at three seeds each.  ``ops`` bounds the
     crash points explored per sweep point (every point is a full
-    machine replay, so the budget matters).  ``aged`` is deliberately
-    ignored: replicas always start from fresh images."""
+    machine replay, so the budget matters).  ``base.aged`` is
+    deliberately ignored: replicas always start from fresh images."""
     max_points = max(4, min(ops, 48))
+    fresh = replace(base, aged=False)
     points = []
     for workload in ("syncbench", "kvstore"):
         for seed in (0, 1, 2):
             points.append(SweepPoint(
                 experiment="crash", series=workload, x=seed,
                 params={"workload": workload, "seed": seed,
-                        "max_points": max_points, "media": media,
-                        "device_gib": device_gib},
-                media=media, device_gib=device_gib, aged=False))
+                        "max_points": max_points},
+                machine=fresh))
     return Sweep(name="crash",
                  title="Crash recovery audit (points explored)",
                  points=points, axis="seed")
 
 
 @sweep("faults", "media-fault injection + poison-handling audit")
-def _faults_sweep(*, ops: int, size: int, media: str, device_gib: int,
-                  aged: bool) -> Sweep:
+def _faults_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
     """Every fault workload at two seeds.  ``ops`` bounds the armed
     sites per sweep point (each site is a full machine replica).
-    ``aged`` is deliberately ignored: replicas start fresh."""
+    ``base.aged`` is deliberately ignored: replicas start fresh."""
     max_sites = max(4, min(ops, 64))
+    fresh = replace(base, aged=False)
     points = []
     for workload in ("syncbench", "kvstore", "readbench"):
         for seed in (0, 1):
             points.append(SweepPoint(
                 experiment="faults", series=workload, x=seed,
                 params={"workload": workload, "seed": seed,
-                        "max_sites": max_sites, "media": media,
-                        "device_gib": device_gib},
-                media=media, device_gib=device_gib, aged=False))
+                        "max_sites": max_sites},
+                machine=fresh))
     return Sweep(name="faults",
                  title="Media-fault handling audit (sites explored)",
                  points=points, axis="seed")
 
 
 @sweep("selftest", "runner fault-isolation diagnostics (ok/crash/hang)")
-def _selftest_sweep(*, ops: int, size: int, media: str, device_gib: int,
-                    aged: bool) -> Sweep:
+def _selftest_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
     """One crashing point and one hung point among healthy ones: used
     by CI to prove a sweep survives both with exactly the bad points
     quarantined.  ``ops`` sets the healthy-point count."""
     modes = ["ok"] * max(2, min(ops, 8))
     modes.insert(1, "crash")
     modes.append("hang")
+    fresh = replace(base, aged=False)
     points = [SweepPoint(experiment="selftest", series=mode, x=i,
-                         params={"mode": mode},
-                         media=media, device_gib=device_gib, aged=False)
+                         params={"mode": mode}, machine=fresh)
               for i, mode in enumerate(modes)]
     return Sweep(name="selftest",
                  title="Runner isolation selftest",
@@ -328,16 +307,15 @@ def _selftest_sweep(*, ops: int, size: int, media: str, device_gib: int,
 
 
 @sweep("mmu", "four translation schemes x workload x clean/aged image")
-def _mmu_sweep(*, ops: int, size: int, media: str, device_gib: int,
-               aged: bool) -> Sweep:
+def _mmu_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
     """DaxVM under four MMUs (see repro.paging.schemes).
 
     Two attach-heavy workloads — syncbench (one long-lived DaxVM
     mapping, walk-dominated) and the kvstore (small WAL/SSTable files
     rolled constantly, attach-dominated) — each on a clean and an aged
-    image (x = 0/1), under every translation scheme.  The ``aged`` CLI
-    knob is deliberately ignored: the clean/aged contrast *is* the
-    experiment for the range scheme.  ``ops`` scales sync rounds and
+    image (x = 0/1), under every translation scheme.  ``base.aged`` is
+    deliberately ignored: the clean/aged contrast *is* the experiment
+    for the range scheme.  ``ops`` scales sync rounds and
     KV operations; ``size`` scales the syncbench file (floored at 4 MB
     so its file table goes persistent and walks pay PMem leaves).
     """
@@ -349,6 +327,7 @@ def _mmu_sweep(*, ops: int, size: int, media: str, device_gib: int,
     for scheme in SCHEME_NAMES:
         for aged_image in (False, True):
             x = float(aged_image)
+            machine = replace(base, aged=aged_image, scheme=scheme)
             points.append(SweepPoint(
                 experiment="syncbench", series=f"syncbench+{scheme}",
                 x=x,
@@ -356,8 +335,7 @@ def _mmu_sweep(*, ops: int, size: int, media: str, device_gib: int,
                         "op_size": 1 << 10, "ops_per_sync": 16,
                         "num_syncs": num_syncs,
                         "discipline": "daxvm+fsync"},
-                media=media, device_gib=device_gib, aged=aged_image,
-                scheme=scheme))
+                machine=machine))
             points.append(SweepPoint(
                 experiment="kvstore", series=f"kvstore+{scheme}",
                 x=x,
@@ -370,8 +348,7 @@ def _mmu_sweep(*, ops: int, size: int, media: str, device_gib: int,
                         "daxvm": {"ephemeral": False,
                                   "unmap_async": False,
                                   "sync": True, "nosync": False}},
-                media=media, device_gib=device_gib, aged=aged_image,
-                scheme=scheme))
+                machine=machine))
     return Sweep(name="mmu",
                  title="DaxVM across translation architectures "
                        "(cycles/op)",
@@ -379,22 +356,22 @@ def _mmu_sweep(*, ops: int, size: int, media: str, device_gib: int,
 
 
 @sweep("numa", "file placement vs thread count on two sockets")
-def _numa_sweep(*, ops: int, size: int, media: str, device_gib: int,
-                aged: bool) -> Sweep:
+def _numa_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
     """Read-once mmap with workload threads pinned to socket 0 and the
     file placed local to them, on the remote socket, or interleaved
     across both — the dual-socket Optane placement experiment."""
     points = []
     for threads in (1, 2, 4, 8, 16):
         for placement in PLACEMENTS:
+            machine = replace(base, nodes=("ddr", "ddr"),
+                              placement=placement, pin_node=0)
             points.append(SweepPoint(
                 experiment="ephemeral", series=placement, x=threads,
                 params={"file_size": size, "num_files": ops,
                         "num_threads": threads,
                         "interface": Interface.MMAP.value,
                         "pin_node": 0},
-                media=media, device_gib=device_gib, aged=aged,
-                num_nodes=2, placement=placement, pin_node=0))
+                machine=machine))
     return Sweep(name="numa",
                  title="NUMA file placement, mmap read-once (Kops/s)",
                  points=points, axis="threads")
@@ -406,27 +383,26 @@ TIERING_TIERS = ("dram", "pmem", "cxl")
 
 
 @sweep("tiering", "interfaces x data tier (DRAM/PMem/CXL) x ktierd")
-def _tiering_sweep(*, ops: int, size: int, media: str, device_gib: int,
-                   aged: bool) -> Sweep:
+def _tiering_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
     """Where does each interface break even as file data moves down
     the memory hierarchy?  Read-once (read/mmap/daxvm) plus syncbench
     at every data tier (x = tier index: 0 dram, 1 pmem, 2 cxl), with
     and without the hot/cold migration daemon.  CXL points carry an
-    expander node (``node_kinds``), so the machine actually has the
-    medium it prices.  The daemon runs hair-triggered (one touch
-    promotes, short scan interval) so short sweep points exercise real
-    migrations, not just scans."""
-    daemon_knobs = {"daemon": True, "scan_interval": 5e5,
-                    "hot_touches": 1, "cold_scans": 4}
+    expander node, so the machine actually has the medium it prices.
+    The daemon runs hair-triggered (one touch promotes, short scan
+    interval) so short sweep points exercise real migrations, not just
+    scans."""
+    from repro.tiering import TieringConfig
+
+    ktierd = TieringConfig(scan_interval=5e5, hot_touches=1, cold_scans=4)
     num_syncs = max(8, min(ops, 64))
     points = []
     for x, tier in enumerate(TIERING_TIERS):
-        node_kinds = "ddr,cxl" if tier == "cxl" else ""
+        nodes = ("ddr", "cxl") if tier == "cxl" else base.nodes
         daemons = (False,) if tier == "dram" else (False, True)
         for daemon in daemons:
-            tiering = dict(daemon_knobs) if daemon else {"data": tier}
-            if daemon:
-                tiering["data"] = tier
+            machine = replace(base, nodes=nodes, tier=tier,
+                              ktierd=ktierd if daemon else None)
             suffix = "+ktierd" if daemon else ""
             for interface in (Interface.READ, Interface.MMAP,
                               Interface.DAXVM):
@@ -436,8 +412,7 @@ def _tiering_sweep(*, ops: int, size: int, media: str, device_gib: int,
                     params={"file_size": size, "num_files": ops,
                             "num_threads": 4,
                             "interface": interface.value},
-                    media=media, device_gib=device_gib, aged=aged,
-                    node_kinds=node_kinds, tiering=tiering))
+                    machine=machine))
             points.append(SweepPoint(
                 experiment="syncbench", series=f"syncbench{suffix}",
                 x=x,
@@ -445,8 +420,7 @@ def _tiering_sweep(*, ops: int, size: int, media: str, device_gib: int,
                         "op_size": 1 << 10, "ops_per_sync": 16,
                         "num_syncs": num_syncs,
                         "discipline": "daxvm+fsync"},
-                media=media, device_gib=device_gib, aged=aged,
-                node_kinds=node_kinds, tiering=tiering))
+                machine=machine))
     return Sweep(name="tiering",
                  title="Interfaces across data tiers (Kops/s)",
                  points=points, axis="tier")
@@ -455,15 +429,11 @@ def _tiering_sweep(*, ops: int, size: int, media: str, device_gib: int,
 @point_runner("consolidate")
 def _consolidate_point(system: System) -> RunResult:
     """One consolidated machine.  The tenant set, quotas and
-    antagonist all come from the point's ``tenancy`` payload (which
-    the worker already attached), so the tenancy shape is part of the
-    cache key by construction."""
-    from repro.errors import InvalidArgumentError
+    antagonist all come from the point's machine spec (whose build
+    attached them), so the tenancy shape is part of the cache key by
+    construction."""
     from repro.tenancy import run_consolidate
 
-    if system.tenancy is None:
-        raise InvalidArgumentError(
-            "consolidate points need a tenancy payload on the SweepPoint")
     return run_consolidate(system)
 
 
@@ -472,8 +442,7 @@ CONSOLIDATE_TENANTS = (1, 2, 4, 8, 16)
 
 
 @sweep("consolidate", "tenant count x workload mix x quotas x antagonist")
-def _consolidate_sweep(*, ops: int, size: int, media: str,
-                       device_gib: int, aged: bool) -> Sweep:
+def _consolidate_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
     """How does per-tenant p99 degrade as tenants pile onto one
     machine?  Each mix runs 1..16 closed-loop tenants, with quota
     enforcement on/off and with/without a stress-ng-style ``vm`` hog
@@ -498,8 +467,7 @@ def _consolidate_sweep(*, ops: int, size: int, media: str,
                               f"+{'hog' if antagonist else 'nohog'}")
                     points.append(SweepPoint(
                         experiment="consolidate", series=series, x=n,
-                        params={}, media=media, device_gib=device_gib,
-                        aged=aged, tenancy=config.to_state()))
+                        machine=replace(base, tenancy=config)))
     return Sweep(name="consolidate",
                  title="Consolidation: per-tenant p99 vs tenant count",
                  points=points, axis="tenants")
@@ -507,15 +475,11 @@ def _consolidate_sweep(*, ops: int, size: int, media: str,
 
 @point_runner("migrate")
 def _migrate_point(system: System, *, workload: str) -> RunResult:
-    """One guest run under the hypervisor the worker attached from the
-    point's ``virt`` payload (so the hypervisor shape is part of the
-    cache key by construction)."""
-    from repro.errors import InvalidArgumentError
+    """One guest run under the hypervisor the point's machine spec
+    attached (so the hypervisor shape is part of the cache key by
+    construction)."""
     from repro.virt import run_migrate
 
-    if system.hypervisor is None:
-        raise InvalidArgumentError(
-            "migrate points need a virt payload on the SweepPoint")
     return run_migrate(system, workload)
 
 
@@ -526,8 +490,7 @@ MIGRATE_AFTER = (8, 16, 32, 64)
 
 
 @sweep("migrate", "post-copy live migration: trigger point x prefetch")
-def _migrate_sweep(*, ops: int, size: int, media: str, device_gib: int,
-                   aged: bool) -> Sweep:
+def _migrate_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
     """Downtime and pull traffic vs when the migration triggers, with
     and without the prefetch kthread, for both guest workloads.  The
     ``base`` series (x = 0) is the nested-but-never-migrated guest —
@@ -535,13 +498,15 @@ def _migrate_sweep(*, ops: int, size: int, media: str, device_gib: int,
     and ``size`` are deliberately ignored: guest workloads are the
     pinned crash workloads, so points stay byte-comparable across
     budget knobs."""
+    from repro.virt import VirtConfig
+
+    fresh = replace(base, aged=False)
     points = []
     for workload in ("syncbench", "kvstore"):
         points.append(SweepPoint(
             experiment="migrate", series=f"{workload}+base", x=0,
             params={"workload": workload},
-            media=media, device_gib=device_gib, aged=False,
-            virt={"nested": True, "migrate": False}))
+            machine=replace(fresh, virt=VirtConfig(nested=True))))
         for after in MIGRATE_AFTER:
             for prefetch in (True, False):
                 suffix = "+prefetch" if prefetch else "+noprefetch"
@@ -549,20 +514,19 @@ def _migrate_sweep(*, ops: int, size: int, media: str, device_gib: int,
                     experiment="migrate",
                     series=f"{workload}{suffix}", x=after,
                     params={"workload": workload},
-                    media=media, device_gib=device_gib, aged=False,
-                    virt={"nested": True, "migrate": True,
-                          "migrate_after": after,
-                          "prefetch": prefetch, "seed": 0}))
+                    machine=replace(fresh, virt=VirtConfig(
+                        nested=True, migrate=True, migrate_after=after,
+                        prefetch=prefetch, seed=0))))
     return Sweep(name="migrate",
                  title="Post-copy migration: downtime and pull traffic",
                  points=points, axis="migrate_after")
 
 
-def build_sweep(name: str, *, ops: int, size: int, media: str,
-                device_gib: int, aged: bool) -> Sweep:
-    """Expand a named sweep with the given CLI-level knobs."""
+def build_sweep(name: str, *, ops: int, size: int,
+                base: MachineSpec) -> Sweep:
+    """Expand a named sweep with the given CLI-level knobs on machines
+    derived from ``base``."""
     builder = SWEEPS.get(name)
     if builder is None:
         raise KeyError(f"unknown sweep {name!r}; known: {sorted(SWEEPS)}")
-    return builder(ops=ops, size=size, media=media,
-                   device_gib=device_gib, aged=aged)
+    return builder(ops=ops, size=size, base=base)

@@ -3,9 +3,9 @@
 The function crossing the ``multiprocessing`` boundary takes a plain
 payload dict and returns a plain state dict — no simulator object is
 ever pickled.  Each point builds a fresh :class:`~repro.system.System`
-from its media preset, exactly as the sequential CLI experiments do,
-so a point's result is independent of which process (and in which
-order) it runs.
+from its :class:`~repro.machine.MachineSpec`, exactly as the
+sequential CLI experiments do, so a point's result is independent of
+which process (and in which order) it runs.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ import sys
 import time
 from typing import Dict
 
-from repro.config import MEDIA_PRESETS
 from repro.runner.manifest import SweepPoint, result_state
 from repro.system import System
-from repro.topology import MachineTopology
 
 #: Which delivery attempt of the current point this worker is running
 #: (0 = first try).  Published by the pool's guarded wrapper before
@@ -46,26 +44,6 @@ def _reset_naming_counters() -> None:
         for counter in ("_run_counter", "_store_counter"):
             if hasattr(module, counter):
                 setattr(module, counter, itertools.count())
-
-
-def _attach_tiering(system: System, spec: Dict[str, object]) -> None:
-    """Build the point's tier overlay from its JSON-safe ``tiering``
-    dict: ``data`` names the default medium, ``daemon`` starts the
-    migration kthread, and the optional policy knobs map straight onto
-    :class:`~repro.tiering.TieringConfig` fields."""
-    from repro.mem.physmem import Medium
-    from repro.tiering import TieringConfig
-
-    data = Medium(spec.get("data", "pmem"))
-    daemon = bool(spec.get("daemon", False))
-    knobs = {key: spec[key] for key in
-             ("scan_interval", "hot_touches", "cold_scans",
-              "migrate_budget_bytes", "bw_budget_fraction")
-             if key in spec}
-    if "hot" in spec:
-        knobs["hot_medium"] = Medium(spec["hot"])
-    config = TieringConfig(**knobs) if (daemon and knobs) else None
-    system.attach_tiering(data_medium=data, daemon=daemon, config=config)
 
 
 #: Rows kept from a per-point profile (sorted by tottime).
@@ -98,32 +76,7 @@ def build_system(point: SweepPoint) -> System:
     both build here, so a pinned point is the sweep's machine.
     """
     _reset_naming_counters()
-    costs = MEDIA_PRESETS[point.media]()
-    if point.node_kinds:
-        kinds = tuple(k.strip() for k in point.node_kinds.split(",")
-                      if k.strip())
-        topology = MachineTopology.with_kinds(costs.machine, kinds)
-    else:
-        topology = (MachineTopology.split(costs.machine, point.num_nodes)
-                    if point.num_nodes > 1 else None)
-    system = System(costs=costs, device_bytes=point.device_gib << 30,
-                    aged=point.aged, topology=topology,
-                    placement=point.placement, pin_node=point.pin_node,
-                    scheme=point.scheme)
-    if point.tiering:
-        _attach_tiering(system, point.tiering)
-    if point.tenancy:
-        from repro.tenancy import TenancyConfig
-
-        # A passive config installs no hook: the degenerate point stays
-        # bit-identical to an un-tenanted run.
-        system.attach_tenancy(TenancyConfig.from_state(point.tenancy))
-    if point.virt:
-        from repro.virt import VirtConfig
-
-        # Processes the point's workload creates enroll as guests.
-        system.attach_hypervisor(VirtConfig.from_state(point.virt))
-    return system
+    return point.machine.build()
 
 
 def system_state(run, system: System,

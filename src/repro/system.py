@@ -114,6 +114,10 @@ class System:
         self.trace = self._make_tracer()
         self._filetables: Optional[FileTableManager] = None
         self._process_count = 0
+        #: The :class:`repro.machine.MachineSpec` this machine was built
+        #: from (``None`` when constructed directly); replica audits
+        #: rebuild from it.
+        self.spec = None
         #: Attached :class:`repro.crash.PersistenceDomain`, if any.
         self.persistence = None
         #: Attached :class:`repro.faults.MediaFaults`, if any.

@@ -9,7 +9,8 @@ quotas and threads tenant identity through the ledger and counters so
 every stolen cycle is attributable.
 
 Entry points: build a :class:`TenancyConfig` (usually via
-:func:`consolidate_config`), ``system.attach_tenancy(config)``, then
+:func:`consolidate_config`), build a machine with it
+(``MachineSpec(tenancy=config).build()``), then
 :func:`run_consolidate`.  ``python -m repro sweep consolidate`` and
 ``python -m repro perf consolidate`` drive the standard matrix.
 """

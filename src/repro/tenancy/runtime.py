@@ -349,20 +349,19 @@ def _run_untenanted(system, tenant: Tenant):
         f"no un-tenanted runner for kind {tenant.kind!r}")
 
 
-def run_consolidate(system, config: Optional[TenancyConfig] = None):
+def run_consolidate(system):
     """Run one consolidated machine; returns a RunResult.
 
-    Uses the tenancy runtime already attached to ``system`` (or
-    attaches ``config``).  Passive configs delegate to the original
-    un-tenanted runner — the golden-gated degenerate path.
+    Uses the tenancy runtime attached to ``system`` (a
+    :class:`~repro.machine.MachineSpec` with ``tenancy`` set builds
+    one).  Passive configs delegate to the original un-tenanted runner
+    — the golden-gated degenerate path.
     """
     runtime = system.tenancy
     if runtime is None:
-        if config is None:
-            raise InvalidArgumentError(
-                "run_consolidate needs system.attach_tenancy(...) or an "
-                "explicit config")
-        runtime = system.attach_tenancy(config)
+        raise InvalidArgumentError(
+            "run_consolidate needs a tenancy runtime: build the machine "
+            "from a MachineSpec with tenancy set")
     cfg = runtime.config
     if cfg.passive:
         return _run_untenanted(system, cfg.tenants[0])

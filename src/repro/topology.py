@@ -139,14 +139,7 @@ class MachineTopology:
         if num_nodes < 1:
             raise InvalidArgumentError(
                 f"num_nodes must be >= 1, got {num_nodes}")
-        dram = machine.dram_bytes // num_nodes
-        pmem = machine.pmem_bytes // num_nodes
-        # Keep per-node sizes frame-aligned.
-        dram -= dram % machine.page_size
-        pmem -= pmem % machine.page_size
-        return cls(nodes=tuple(NodeSpec(dram, pmem)
-                               for _ in range(num_nodes)),
-                   num_cores=machine.num_cores)
+        return cls.with_kinds(machine, ("ddr",) * num_nodes)
 
     @classmethod
     def with_kinds(cls, machine: MachineConfig,
@@ -156,7 +149,8 @@ class MachineTopology:
         ``["ddr", "ddr", "cxl"]`` is a dual-socket box with one CXL
         memory expander: DRAM/PMem split evenly across the ``ddr``
         sockets, the expander carrying :attr:`MachineConfig.cxl_bytes`
-        and no cores.  An all-``ddr`` list is exactly :meth:`split`.
+        and no cores.  An all-``ddr`` list is exactly :meth:`split`
+        (which builds here).
         """
         kinds = tuple(kinds)
         ddr_count = sum(1 for kind in kinds if kind == "ddr")
@@ -165,6 +159,7 @@ class MachineTopology:
                 f"node kinds {kinds!r} include no ddr (compute) node")
         dram = machine.dram_bytes // ddr_count
         pmem = machine.pmem_bytes // ddr_count
+        # Keep per-node sizes frame-aligned.
         dram -= dram % machine.page_size
         pmem -= pmem % machine.page_size
         cxl = machine.cxl_bytes - machine.cxl_bytes % machine.page_size

@@ -27,11 +27,10 @@ reset, the PR-4/PR-5 discipline):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.results import RunResult
-from repro.config import MEDIA_PRESETS
 from repro.crash.checker import RecoveryChecker
 from repro.crash.domain import CrashTriggered, PersistenceDomain
 from repro.crash.injector import CrashInjector, CrashSummary
@@ -39,6 +38,7 @@ from repro.errors import MediaError, PoisonedPageError
 from repro.faults.injector import FaultInjector, FaultSummary
 from repro.faults.model import MediaFaults, SiteOutcome
 from repro.faults.plan import FaultKind, FaultPlan, FaultSite, TouchRecord
+from repro.machine import MachineSpec
 from repro.obs import CostDomain, Counter
 from repro.system import System
 from repro.virt.hypervisor import VirtConfig
@@ -52,21 +52,18 @@ AUDIT_WORKLOADS = ("syncbench", "kvstore")
 _LINK_STALL_CYCLES = 400_000.0
 
 
-def migrate_factory(*, media: str = "optane", device_gib: int = 1,
+#: The audit's default replica: a fresh 1 GiB image (aging churn
+#: adds nothing to durability or poison-handling coverage).
+AUDIT_MACHINE = MachineSpec(device_gib=1)
+
+
+def migrate_factory(machine: MachineSpec = AUDIT_MACHINE, *,
                     migrate_after: int = 24, seed: int = 0,
-                    prefetch: bool = True):
-    """A replica factory whose machines carry an armed hypervisor."""
-    costs_factory = MEDIA_PRESETS[media]
-
-    def factory() -> System:
-        system = System(costs=costs_factory(),
-                        device_bytes=device_gib << 30, aged=False)
-        system.attach_hypervisor(VirtConfig(
-            nested=True, migrate=True, migrate_after=migrate_after,
-            prefetch=prefetch, seed=seed))
-        return system
-
-    return factory
+                    prefetch: bool = True) -> Callable[[], System]:
+    """A replica factory: ``machine`` with an armed hypervisor."""
+    return replace(machine, virt=VirtConfig(
+        nested=True, migrate=True, migrate_after=migrate_after,
+        prefetch=prefetch, seed=seed)).build
 
 
 def _settle_for_crash(system: System) -> List[str]:
@@ -243,16 +240,16 @@ def run_migrate_audit(*, workloads: Sequence[str] = AUDIT_WORKLOADS,
                       seeds: Sequence[int] = (0, 1),
                       max_points: int = 18, max_sites: int = 12,
                       composed_points: int = 6,
-                      media: str = "optane", device_gib: int = 1,
+                      machine: MachineSpec = AUDIT_MACHINE,
                       migrate_after: int = 24) -> MigrateAuditSummary:
     """The full audit: crash, fault and composed attacks over every
-    guest workload and seed.  Zero violations is the acceptance bar."""
+    guest workload and seed, each replica built from ``machine``.
+    Zero violations is the acceptance bar."""
     summary = MigrateAuditSummary(seeds=list(seeds),
                                   migrate_after=migrate_after)
     for workload in workloads:
         for seed in seeds:
-            factory = migrate_factory(media=media,
-                                      device_gib=device_gib,
+            factory = migrate_factory(machine,
                                       migrate_after=migrate_after,
                                       seed=seed)
             crash_inj = MigrateCrashInjector(
@@ -270,8 +267,7 @@ def run_migrate_audit(*, workloads: Sequence[str] = AUDIT_WORKLOADS,
         if composed_points > 0:
             # Crash x faults composition: replicas carry both an armed
             # fault plan and a crash point (satellite of PR 10).
-            factory = migrate_factory(media=media,
-                                      device_gib=device_gib,
+            factory = migrate_factory(machine,
                                       migrate_after=migrate_after,
                                       seed=seeds[0])
             probe_inj = MigrateFaultInjector(

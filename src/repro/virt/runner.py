@@ -38,12 +38,13 @@ VIRT_COUNTERS = (
 
 def run_migrate(system, workload: str = "syncbench") -> RunResult:
     """Run ``workload`` as a guest on ``system`` (hypervisor attached
-    via ``system.attach_hypervisor``), settle migrations, report."""
+    by a :class:`~repro.machine.MachineSpec` with ``virt`` set), settle
+    migrations, report."""
     hv = system.hypervisor
     if hv is None:
         raise InvalidArgumentError(
-            "run_migrate needs a hypervisor: call "
-            "system.attach_hypervisor(VirtConfig(...)) first")
+            "run_migrate needs a hypervisor: build the machine from "
+            "a MachineSpec with virt set")
     fn = MIGRATE_WORKLOADS.get(workload)
     if fn is None:
         raise InvalidArgumentError(

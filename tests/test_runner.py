@@ -8,11 +8,13 @@ or replayed from the content-addressed cache — and merged sweep-level
 
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.errors import DeadlockError, MemoryError_
+from repro.machine import MachineSpec
 from repro.obs import CostDomain
 from repro.obs.histogram import Histogram
 from repro.obs.ledger import Ledger
@@ -38,7 +40,7 @@ def tiny_sweep() -> Sweep:
                 experiment="ephemeral", series=interface, x=threads,
                 params={"file_size": 8 << 10, "num_files": 16,
                         "num_threads": threads, "interface": interface},
-                media="optane", device_gib=1, aged=False))
+                machine=MachineSpec(device_gib=1, aged=False)))
     return Sweep(name="tiny", title="tiny", points=points, axis="threads")
 
 
@@ -96,7 +98,7 @@ def test_cache_key_stability_and_sensitivity():
     changed.params["num_files"] = 17
     assert changed.cache_key(fp) != a.cache_key(fp)
     other_media = tiny_sweep().points[0]
-    other_media.media = "fast-nvm"
+    other_media.machine = replace(other_media.machine, media="fast-nvm")
     assert other_media.cache_key(fp) != a.cache_key(fp)
     assert a.cache_key("deadbeef") != a.cache_key(fp)
 
@@ -199,7 +201,7 @@ def selftest_sweep_of(modes, **extra_params) -> Sweep:
     """A sweep of selftest points (one diagnostic mode per point)."""
     points = [SweepPoint(experiment="selftest", series=mode, x=i,
                          params={"mode": mode, **extra_params},
-                         media="optane", device_gib=1, aged=False)
+                         machine=MachineSpec(device_gib=1, aged=False))
               for i, mode in enumerate(modes)]
     return Sweep(name="selftest", title="selftest", points=points,
                  axis="slot")
@@ -279,12 +281,12 @@ def test_parallel_survivors_match_sequential_with_failures():
 # Registered sweeps and the CLI entry point.
 # ---------------------------------------------------------------------------
 def test_build_sweep_registry():
-    sweep = build_sweep("apache", ops=8, size=32 << 10, media="optane",
-                        device_gib=1, aged=False)
+    sweep = build_sweep("apache", ops=8, size=32 << 10,
+                        base=MachineSpec(device_gib=1, aged=False))
     assert len(sweep.points) == 12
     with pytest.raises(KeyError):
-        build_sweep("nope", ops=8, size=32 << 10, media="optane",
-                    device_gib=1, aged=False)
+        build_sweep("nope", ops=8, size=32 << 10,
+                    base=MachineSpec(device_gib=1, aged=False))
 
 
 def test_cli_sweep_smoke(tmp_path, capsys):

@@ -20,6 +20,7 @@ import pytest
 
 from repro.config import DEFAULT_COSTS, MEDIA_PRESETS
 from repro.errors import NotSupportedError, SegmentationFault
+from repro.machine import MachineSpec
 from repro.mem.physmem import Medium
 from repro.obs import CostDomain
 from repro.paging.pagetable import PMD_LEVEL, PTE_LEVEL, Translation
@@ -379,7 +380,7 @@ def test_worker_points_are_deterministic_per_scheme(scheme_name):
         params={"file_size": 4 << 20, "op_size": 1 << 10,
                 "ops_per_sync": 8, "num_syncs": 4,
                 "discipline": "daxvm+fsync"},
-        media="optane", device_gib=1, aged=True, scheme=scheme_name)
+        machine=MachineSpec(device_gib=1, aged=True, scheme=scheme_name))
     first = run_point(point.to_payload())
     second = run_point(point.to_payload())
 
@@ -395,8 +396,8 @@ def test_worker_points_are_deterministic_per_scheme(scheme_name):
 # ---------------------------------------------------------------------------
 def _point(scheme, media="optane"):
     return SweepPoint(experiment="syncbench", series="s", x=1.0,
-                      params={"file_size": 4 << 20}, media=media,
-                      scheme=scheme)
+                      params={"file_size": 4 << 20},
+                      machine=MachineSpec(media=media, scheme=scheme))
 
 
 def test_cache_key_covers_scheme_name():

@@ -15,6 +15,7 @@ import pytest
 
 from repro.config import DEFAULT_COSTS
 from repro.errors import InvalidArgumentError
+from repro.machine import MachineSpec
 from repro.mem.physmem import Medium, PhysicalMemory
 from repro.obs import CostDomain, Counter
 from repro.runner.manifest import result_state
@@ -381,8 +382,8 @@ def test_ledger_views_use_exact_thread_names():
 # The consolidate driver end to end.
 # ---------------------------------------------------------------------------
 def _consolidate_state(config):
-    system = System(device_bytes=1 << 30, aged=False)
-    run = run_consolidate(system, config)
+    system = MachineSpec(device_gib=1, tenancy=config).build()
+    run = run_consolidate(system)
     locks = [lock.report() for lock in system.engine.locks
              if lock.acquisitions]
     state = result_state(run, system.stats, system.ledger, locks, 0.0)

@@ -17,11 +17,13 @@ Covers the PR-8 satellites end to end:
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.config import DEFAULT_COSTS
 from repro.errors import InvalidArgumentError
+from repro.machine import MachineSpec
 from repro.mem.latency import MemoryModel
 from repro.mem.physmem import Medium, PhysicalMemory
 from repro.mem.tiers import medium_specs, spec_for
@@ -401,26 +403,27 @@ def test_overlay_none_means_pmem_pricing():
 # Sweep integration: tier config in cache keys, parallel determinism.
 # ---------------------------------------------------------------------------
 def _tiny_tiering_sweep() -> Sweep:
-    full = build_sweep("tiering", ops=6, size=16 << 10, media="optane",
-                       device_gib=1, aged=False)
-    daemon_points = [p for p in full.points if p.tiering.get("daemon")]
+    full = build_sweep("tiering", ops=6, size=16 << 10,
+                       base=MachineSpec(device_gib=1, aged=False))
+    daemon_points = [p for p in full.points
+                     if p.machine.ktierd is not None]
     assert daemon_points, "tiering sweep must carry daemon points"
     points = daemon_points[:2] + [p for p in full.points
-                                  if not p.tiering.get("daemon")][:2]
+                                  if p.machine.ktierd is None][:2]
     return Sweep(name="tiering-tiny", title="tiny tiering",
                  points=points, axis="tier")
 
 
 def test_tiering_sweep_cache_keys_cover_tier_config():
-    full = build_sweep("tiering", ops=4, size=16 << 10, media="optane",
-                       device_gib=1, aged=False)
+    full = build_sweep("tiering", ops=4, size=16 << 10,
+                       base=MachineSpec(device_gib=1, aged=False))
     keys = {p.cache_key("fp") for p in full.points}
     assert len(keys) == len(full.points)
     base = full.points[0]
     payload = base.to_payload()
-    assert "tiering" in payload and "node_kinds" in payload
+    assert "tier" in payload["machine"] and "nodes" in payload["machine"]
     # Flipping only the tier flips the key.
-    twin = type(base)(**{**payload, "tiering": {"data": "far"}})
+    twin = replace(base, machine=replace(base.machine, tier="far"))
     assert twin.cache_key("fp") != base.cache_key("fp")
 
 
