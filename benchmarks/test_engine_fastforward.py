@@ -4,30 +4,29 @@ Reruns the exact sweep whose per-point walls PR 3 recorded — the
 2-socket NUMA placement sweep on the aged image — and asserts that a
 point now simulates at least 5x faster than the median wall stored in
 ``BENCH_PR3.json``.  Correctness is not at stake here (the ``engine``
-cases of ``tests/test_goldens.py`` pin bit-identical results); this
+case of ``tests/test_goldens.py`` pins bit-identical results); this
 bench pins the *performance* half of the tentpole and records the
 evidence into ``BENCH_PR7.json``.
 
-Measurement notes, hard-won on this host:
+Measurement notes:
 
-* The container has **one** CPU.  PR 3 measured with ``jobs=4``, so
-  its recorded 1.317 s median folds in ~3-4x of pure multiprocessing
-  oversubscription queueing on top of the DES cost.  This bench runs
-  sequentially (``jobs=1``) — the honest per-point simulation wall —
-  and still must clear the 5x bar against the recorded baseline.
-* The box's effective CPU speed itself swings up to ~3x over minutes
-  (a fixed pure-Python calibration loop measures anywhere from 0.11 s
-  to 0.34 s).  A fixed number of rounds taken during a slow phase
-  measures the host, not the code.  The bench therefore keeps taking
-  rounds — min wall per point across rounds — until the gate clears
-  or ``MAX_ROUNDS`` is exhausted, and records the per-round
-  calibration walls so the JSON shows what the host was doing.
+* The baseline was measured with ``jobs=4``, so its recorded 1.317 s
+  median folds in multiprocessing oversubscription queueing on top of
+  the DES cost whenever the host has fewer CPUs than jobs.  This bench
+  runs sequentially (``jobs=1``) — the honest per-point simulation
+  wall — and still must clear the 5x bar against the recorded baseline.
+* A shared host's effective CPU speed can swing severalfold over
+  minutes (a fixed pure-Python calibration loop measures anywhere
+  from 0.11 s to 0.34 s).  A fixed number of rounds taken during a
+  slow phase measures the host, not the code.  The bench therefore
+  keeps taking rounds — min wall per point across rounds — until the
+  gate clears or ``MAX_ROUNDS`` is exhausted, and records the
+  per-round calibration walls so the JSON shows what the host was
+  doing.
 
-Because the cross-recording gate compares against another machine's
-walls, a companion bench runs the same points with fast-forward on and
-off in interleaved pairs in one process: host-speed swings hit both
-sides of a pair alike, so the on/off wall ratio measures the drain
-itself.
+Because the gate compares against another recording's walls, it can
+fail on a slow or loaded host with no code change; the calibration
+walls it records say whether that happened.
 
 The bench also exercises the new ``--profile`` plumbing end to end on
 a slice of the same sweep and stores the merged top-functions table,
@@ -41,18 +40,14 @@ from pathlib import Path
 
 from conftest import once
 
-import repro.sim.engine as engine_mod
 from repro.machine import MachineSpec
 from repro.runner import build_sweep, run_sweep
-from repro.runner.worker import run_point
 
 #: Round budget: sampling stops early once the gate clears.
 MIN_ROUNDS = 3
 MAX_ROUNDS = 10
 #: Required median per-point speedup vs the BENCH_PR3 recording.
 REQUIRED_SPEEDUP = 5.0
-#: Interleaved on/off pairs per point in the same-process A/B.
-AB_PAIRS = 3
 
 BASELINE_LOG = Path(__file__).resolve().parent.parent / "BENCH_PR3.json"
 BASELINE_BENCH = "benchmarks/test_numa_sweep.py::test_numa_placement_sweep"
@@ -145,51 +140,6 @@ def test_fast_forward_speedup_over_pr3(benchmark, bench_extra):
         f"after {len(runs)} rounds (host calibration "
         f"{[round(c, 3) for c in calibrations]}); the PR requires "
         f">= {REQUIRED_SPEEDUP}x")
-
-
-def _run_with(point, fast_forward: bool) -> dict:
-    saved = engine_mod.FAST_FORWARD_DEFAULT
-    engine_mod.FAST_FORWARD_DEFAULT = fast_forward
-    try:
-        return run_point(point.to_payload())
-    finally:
-        engine_mod.FAST_FORWARD_DEFAULT = saved
-
-
-def test_fast_forward_wins_same_process_ab(benchmark, bench_extra):
-    """On vs off over the same points, interleaved in one process."""
-    points = _build().points
-    ratios: list = []
-
-    def experiment():
-        for pair in range(AB_PAIRS):
-            # Alternate which side goes first so warm-up and drift
-            # do not always favour the same side.
-            order = (True, False) if pair % 2 == 0 else (False, True)
-            for point in points:
-                states = {ff: _run_with(point, ff) for ff in order}
-                on, off = states[True], states[False]
-                ratios.append(off["wall_seconds"] / on["wall_seconds"])
-                for state in (on, off):
-                    del state["wall_seconds"]
-                assert on == off, (
-                    f"{point.label}: fast-forward moved a simulated number")
-
-    once(benchmark, experiment)
-
-    median_ratio = statistics.median(ratios)
-    print(f"same-process off/on wall ratio: median {median_ratio:.3f} "
-          f"over {len(ratios)} pairs (min {min(ratios):.3f}, "
-          f"max {max(ratios):.3f})")
-    bench_extra.update({
-        "ab_pairs": AB_PAIRS,
-        "ab_points": len(points),
-        "off_over_on_ratios": ratios,
-        "off_over_on_median": median_ratio,
-    })
-    assert median_ratio > 1.0, (
-        f"fast-forward loses the same-process A/B: off/on median "
-        f"{median_ratio:.3f} over {len(ratios)} interleaved pairs")
 
 
 def test_profile_hook_attributes_sweep_time(benchmark, bench_extra):

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
-import repro.sim.engine as engine_mod
 from repro.crash.injector import run_crash
 from repro.crash.workloads import CRASH_WORKLOADS
 from repro.faults import FaultPlan, MediaFaults
@@ -130,30 +129,24 @@ def mmu(variant: str) -> States:
                                                scheme=scheme))))
 
 
-@_golden("engine_equivalence.json", variants=("fast-forward", "classic"),
-         capture_with="classic")
+@_golden("engine_equivalence.json")
 def engine(variant: str) -> States:
-    """Fast-forward scheduling moves no measured cycle.
+    """The drain moves no measured cycle.
 
-    The drain (:meth:`repro.sim.engine.Engine._drain`) and the batched
-    ledger flush must reproduce the classic one-heap-pop-per-event
-    path byte for byte.  Captured with fast-forward off (the classic
-    engine is the reference), replayed on, and off again to catch
-    drift in the classic path.  The mmu points are deep single-runnable
-    drains, scaling/apache mmap_sem-contended schedules (Block/Wake
-    handoffs, mid-span preemption, interrupt debt), numa a split
-    topology with remote-access charging.
+    The drain (:meth:`repro.sim.engine.Engine._drain`) must reproduce
+    the classic one-heap-pop-per-event engine byte for byte.  The file
+    was captured from that classic heap path when the drain landed; the
+    one engine, which drains whenever its popped thread is the sole
+    runnable one, must replay it byte for byte.  The mmu points are deep
+    single-runnable drains, scaling/apache mmap_sem-contended schedules
+    (Block/Wake handoffs, mid-span preemption, interrupt debt), numa a
+    split topology with remote-access charging.
     """
-    saved = engine_mod.FAST_FORWARD_DEFAULT
-    engine_mod.FAST_FORWARD_DEFAULT = variant == "fast-forward"
-    try:
-        return _grouped((("mmu", _knobs(8), (0.0,), None),
-                         ("scaling", _knobs(8), (1, 2), None),
-                         ("apache", _knobs(12), (4,), None),
-                         ("numa", _knobs(6, aged=True), (1, 2), None)),
-                        _point_state)
-    finally:
-        engine_mod.FAST_FORWARD_DEFAULT = saved
+    return _grouped((("mmu", _knobs(8), (0.0,), None),
+                     ("scaling", _knobs(8), (1, 2), None),
+                     ("apache", _knobs(12), (4,), None),
+                     ("numa", _knobs(6, aged=True), (1, 2), None)),
+                    _point_state)
 
 
 @_golden("faults_equivalence.json", variants=("empty-plan",),

@@ -153,16 +153,6 @@ class MemoryModel:
                 target, core_node != target)
 
     # -- per-node device bandwidth pools ------------------------------------
-    @property
-    def shared(self) -> Optional["SharedBandwidth"]:
-        """Node 0's aggregate-bandwidth pool (legacy single-socket
-        name; assignment rewires the model to one pool)."""
-        return self._pools[0]
-
-    @shared.setter
-    def shared(self, pool: Optional["SharedBandwidth"]) -> None:
-        self._pools = [pool]
-
     def set_pools(self, pools: List["SharedBandwidth"]) -> None:
         """Install one aggregate-bandwidth pool per NUMA node."""
         self._pools = list(pools)
@@ -187,17 +177,6 @@ class MemoryModel:
         return pool.delay(read_bytes, write_bytes, now)
 
     # -- media interference (enter/exit, per node) --------------------------
-    @property
-    def interference(self) -> float:
-        """Node 0's effective interference factor (legacy name)."""
-        return self.interference_for(0)
-
-    @interference.setter
-    def interference(self, value: float) -> None:
-        # Legacy scalar assignment: 1.0 clears node 0, anything else
-        # replaces node 0's stack with that single factor.
-        self._interference[0] = [] if value == 1.0 else [float(value)]
-
     def interference_for(self, node: int) -> float:
         """Effective factor on a node: the worst active stream, 1.0
         when nothing is interfering."""

@@ -1,8 +1,10 @@
 """Discrete-event simulation engine.
 
 The engine executes *simulated threads* — Python generators that yield
-effect objects (:class:`~repro.sim.engine.Compute`,
-:class:`~repro.sim.engine.Block`, ...) — against a global cycle clock.
+effect objects (:class:`~repro.obs.Charge`,
+:class:`~repro.sim.engine.Block`, ...) — against a global cycle clock;
+:func:`~repro.sim.engine.Compute` is a helper that builds an
+unattributed ``Charge``.
 Kernel code in the rest of the package is written as generator
 functions composed with ``yield from``, so a single workload thread
 transparently accumulates the cycle costs of every kernel path it

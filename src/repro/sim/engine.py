@@ -4,15 +4,15 @@ Simulated threads are Python generators.  A thread yields *effects*;
 the engine interprets each effect, advances the global clock, and
 resumes the generator with the effect's result.  The effects:
 
-``Compute(cycles)``
-    Burn CPU time.  The thread resumes ``cycles`` later.  Any interrupt
-    cycles stolen from the thread's core (e.g. by TLB-shootdown IPIs)
-    are added on top, which is how remote-core interference appears in
-    measured throughput.  Kernel layers should yield the instrumented
-    variant, ``repro.obs.charge(domain, event, cycles)``, which burns
-    the same time but attributes it in the engine's :class:`Ledger`;
-    bare ``Compute`` is reserved for the engine's own tests and books
-    under ``userspace/uncharged``.
+``Charge(domain, event, cycles)``
+    Burn CPU time, attributed in the engine's :class:`Ledger` (yield
+    ``repro.obs.charge(domain, event, cycles)``).  The thread resumes
+    ``cycles`` later.  Any interrupt cycles stolen from the thread's
+    core (e.g. by TLB-shootdown IPIs) are added on top, which is how
+    remote-core interference appears in measured throughput.
+    ``Compute(cycles)`` is the helper for unattributable time: it
+    returns a ``Charge`` booked under ``userspace/uncharged`` and is
+    reserved for the engine's own tests.
 
 ``ChargeSpan(entries)``
     Several consecutive charges delivered at one yield point (see
@@ -40,16 +40,15 @@ The engine is deliberately sequential and deterministic: ties are
 broken by a monotone sequence number, so a given workload always
 produces the same schedule and the same measured cycle counts.
 
-Fast-forward: when the heap empties after a pop, the popped thread is
+The drain: when the heap empties after a pop, the popped thread is
 provably the only runnable entity — nothing can preempt it until it
-yields a scheduling effect — so the engine drains its consecutive
-``Compute``/``Charge`` effects in a tight loop instead of round-
+yields a scheduling effect — so the engine interprets its consecutive
+``Charge``/``ChargeSpan`` effects in a tight loop instead of round-
 tripping each one through the heap (see :meth:`Engine._drain` and
 DESIGN §12 for the invariants).  The drain's clock and ledger
-arithmetic are bit-identical to the heap path; ``fast_forward=False``
-(or the module default :data:`FAST_FORWARD_DEFAULT`) forces the
-classic path, which the ``engine`` golden of :mod:`repro.goldens`
-compares byte-for-byte.
+arithmetic are bit-identical to the heap path; the ``engine`` golden
+of :mod:`repro.goldens` replays a file captured from the classic
+one-pop-per-event engine byte for byte.
 """
 
 from __future__ import annotations
@@ -64,24 +63,10 @@ from repro.obs import Charge, ChargeSpan, CostDomain, Ledger
 
 KernelGen = Generator[Any, Any, Any]
 
-#: Session-wide default for :class:`Engine`'s fast-forward scheduler.
-#: The ``engine`` golden flips this to prove both paths produce the
-#: same bytes; everything else leaves it on.
-FAST_FORWARD_DEFAULT = True
-
-
-class Compute:
-    """Effect: consume ``cycles`` of CPU time on the thread's core."""
-
-    __slots__ = ("cycles",)
-
-    def __init__(self, cycles: float):
-        if cycles < 0:
-            raise SimulationError(f"negative compute time: {cycles}")
-        self.cycles = cycles
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Compute({self.cycles:.0f})"
+def Compute(cycles: float) -> Charge:
+    """Effect helper: ``cycles`` of unattributed CPU time on the
+    thread's core, booked under ``userspace/uncharged``."""
+    return Charge(CostDomain.USERSPACE, "uncharged", cycles)
 
 
 class Block:
@@ -224,10 +209,6 @@ class Core:
             entries[0][2] = total
         return total, [(d, e, c) for d, e, c in entries]
 
-    def drain_stolen(self, compute_cycles: float = float("inf")) -> float:
-        """Back-compat scalar drain (see :meth:`drain_attributed`)."""
-        return self.drain_attributed(compute_cycles)[0]
-
 
 class SimThread:
     """A simulated thread: a generator plus scheduling state."""
@@ -285,8 +266,7 @@ class Engine:
     """Deterministic discrete-event executor for simulated threads."""
 
     def __init__(self, num_cores: int = 16, topology=None,
-                 freq_hz: float = 2.7e9,
-                 fast_forward: Optional[bool] = None):
+                 freq_hz: float = 2.7e9):
         self.now = 0.0
         # ``topology`` (a repro.topology.MachineTopology, duck-typed to
         # avoid an import cycle) pins each core to its socket; without
@@ -296,8 +276,6 @@ class Engine:
         #: Clock frequency used by :meth:`seconds`; ``System`` passes
         #: its cost model's ``MachineConfig.freq_hz`` through.
         self.freq_hz = freq_hz
-        self.fast_forward = (FAST_FORWARD_DEFAULT if fast_forward is None
-                             else fast_forward)
         self._heap: list = []
         self._seq = itertools.count()
         self.threads: list[SimThread] = []
@@ -348,7 +326,7 @@ class Engine:
     def _charge_one(self, thread: SimThread, domain: CostDomain,
                     event: str, cycles: float) -> None:
         """Record one charge and reschedule: the shared arithmetic of
-        ``Charge``/``Compute`` and each :class:`ChargeSpan` entry."""
+        a ``Charge`` and of each :class:`ChargeSpan` entry."""
         core = thread.core
         if core.stolen_cycles:
             stolen, stolen_entries = core.drain_attributed(cycles)
@@ -372,106 +350,26 @@ class Engine:
                 return
         self._schedule(thread, cycles + stolen)
 
-    def _step(self, thread: SimThread) -> None:
-        """Resume a thread once and interpret the effect it yields.
-
-        A thread mid-span is *not* resumed: its next buffered entry is
-        interpreted instead, so on the contended path a ``ChargeSpan``
-        occupies one scheduling point per entry — bit-identical to the
-        separate ``Charge`` yields it replaced, including how other
-        threads' records and interrupts interleave between entries.
-
-        :meth:`run` inlines this body in its hot loop; this method is
-        the readable reference (and the entry point for tests that
-        drive single steps).  Keep the two in sync.
-        """
-        span = thread._span_entries
-        if span is not None:
-            index = thread._span_index
-            domain, event, cycles = span[index]
-            index += 1
-            if index == len(span):
-                thread._span_entries = None
-            else:
-                thread._span_index = index
-            self._charge_one(thread, domain, event, cycles)
-            return
-        self.current = thread
-        try:
-            effect = thread.gen.send(thread._wake_value)
-        except StopIteration as stop:
-            self._finish(thread, stop.value)
-            return
-        thread._wake_value = None
-
-        cls = effect.__class__
-        if cls is Charge or cls is Compute:
-            # _charge_one's body, inlined — including the ledger's
-            # ``record`` (same defaultdict accumulation, same zero
-            # skip) and the heap push: this is the contended path's
-            # per-event cost and every call frame here is measurable.
-            if cls is Charge:
-                domain, event = effect.domain, effect.event
-            else:
-                domain, event = CostDomain.USERSPACE, "uncharged"
-            cycles = effect.cycles
-            core = thread.core
-            if core.stolen_cycles:
-                stolen, stolen_entries = core.drain_attributed(cycles)
-            else:
-                stolen, stolen_entries = 0.0, ()
-            ledger = self.ledger
-            if cycles != 0.0:
-                ledger._domains[domain] += cycles
-                ledger._events[(domain, event)] += cycles
-                ledger._threads[thread.name][domain] += cycles
-                ledger.records += 1
-            if stolen:
-                for sdomain, sevent, took in stolen_entries:
-                    ledger.record(thread.name, sdomain, sevent, took)
-            throttle = thread.cpu_throttle
-            if throttle is not None:
-                extra = throttle.stretch(cycles)
-                if extra > 0.0:
-                    ledger.record(thread.name, CostDomain.TENANCY,
-                                  throttle.event, extra)
-                    heappush(self._heap,
-                             (self.now + cycles + stolen + extra,
-                              next(self._seq), thread))
-                    return
-            heappush(self._heap,
-                     (self.now + cycles + stolen, next(self._seq), thread))
-        elif cls is ChargeSpan:
-            entries = effect.entries
-            if not entries:
-                self._schedule(thread, 0.0)
-                return
-            if len(entries) > 1:
-                thread._span_entries = entries
-                thread._span_index = 1
-            self._charge_one(thread, *entries[0])
-        else:
-            self._interpret(thread, effect)
-
-    def _apply_span(self, thread: SimThread, entries, append) -> None:
-        """Inline a run of span entries inside a fast-forward drain.
+    def _apply_span(self, thread: SimThread, entries) -> None:
+        """Inline a run of span entries inside a drain.
 
         Only legal while the heap is empty (nothing can interleave):
-        each entry advances the clock and drains interrupt debt with
-        exactly the arithmetic of a separate ``Charge`` yield, and the
-        ledger entries land contiguously in the drain's replay buffer
-        — the same contiguous order an uncontended heap run produces.
+        each entry advances the clock, drains interrupt debt and lands
+        in the ledger with exactly the arithmetic of a separate
+        ``Charge`` yield — the same contiguous order an uncontended
+        heap run produces.
         """
         core = thread.core
+        record = self.ledger.record
+        name = thread.name
         for domain, event, cycles in entries:
+            record(name, domain, event, cycles)
             if core.stolen_cycles:
                 stolen, stolen_entries = core.drain_attributed(cycles)
-                append((domain, event, cycles))
-                for entry in stolen_entries:
-                    append(entry)
+                for sdomain, sevent, took in stolen_entries:
+                    record(name, sdomain, sevent, took)
                 self.now += cycles + stolen
             else:
-                append((domain, event, cycles))
                 self.now += cycles
 
     def _interpret(self, thread: SimThread, effect) -> None:
@@ -513,94 +411,75 @@ class Engine:
         Called with the heap empty after ``thread``'s pop: no other
         thread, daemon or wake token can run until this one yields a
         scheduling effect or its kernel code pushes something into the
-        heap.  Consecutive ``Compute``/``Charge``/``ChargeSpan``
-        effects are interpreted in a tight loop — same clock floats,
-        same ledger record stream (buffered and replayed in order),
-        same event accounting — skipping only the heap round-trips.
+        heap.  Consecutive ``Charge``/``ChargeSpan`` effects are
+        interpreted in a tight loop — same clock floats, same ledger
+        records in the same order, same event accounting — skipping
+        only the heap round-trips.
         """
         self.current = thread
         heap = self._heap
         core = thread.core
         send = thread.gen.send
         name = thread.name
-        buf: list = []
-        append = buf.append
+        record = self.ledger.record
         value = thread._wake_value
         thread._wake_value = None
-        try:
-            span = thread._span_entries
-            if span is not None:
-                # The thread was popped mid-span (the contended path
-                # buffered the rest): this pop pays the next entry and
-                # the drain inlines the remainder, one event each.
-                rest = span[thread._span_index:]
-                thread._span_entries = None
-                self._apply_span(thread, rest, append)
-                self.events_processed += len(rest) - 1
-                if self.events_processed >= limit:
-                    self._schedule(thread, 0.0)
-                    raise SimulationError(
-                        f"event budget {max_events} exhausted "
-                        f"at t={self.now}")
-                self.events_processed += 1
-            while True:
-                try:
-                    effect = send(value)
-                except StopIteration as stop:
-                    self._finish(thread, stop.value)
-                    return
-                value = None
-                cls = effect.__class__
-                if cls is Charge:
-                    cycles = effect.cycles
-                    if core.stolen_cycles:
-                        stolen, stolen_entries = \
-                            core.drain_attributed(cycles)
-                        append((effect.domain, effect.event, cycles))
-                        for entry in stolen_entries:
-                            append(entry)
-                        self.now += cycles + stolen
-                    else:
-                        append((effect.domain, effect.event, cycles))
-                        self.now += cycles
-                elif cls is Compute:
-                    cycles = effect.cycles
-                    if core.stolen_cycles:
-                        stolen, stolen_entries = \
-                            core.drain_attributed(cycles)
-                        append((CostDomain.USERSPACE, "uncharged", cycles))
-                        for entry in stolen_entries:
-                            append(entry)
-                        self.now += cycles + stolen
-                    else:
-                        append((CostDomain.USERSPACE, "uncharged", cycles))
-                        self.now += cycles
-                elif cls is ChargeSpan:
-                    entries = effect.entries
-                    if entries:
-                        self._apply_span(thread, entries, append)
-                        # Each entry is one scheduling point on the
-                        # contended path; keep the event accounting
-                        # identical (the loop bottom counts one).
-                        self.events_processed += len(entries) - 1
+        span = thread._span_entries
+        if span is not None:
+            # The thread was popped mid-span (the contended path
+            # buffered the rest): this pop pays the next entry and
+            # the drain inlines the remainder, one event each.
+            rest = span[thread._span_index:]
+            thread._span_entries = None
+            self._apply_span(thread, rest)
+            self.events_processed += len(rest) - 1
+            if self.events_processed >= limit:
+                self._schedule(thread, 0.0)
+                raise SimulationError(
+                    f"event budget {max_events} exhausted "
+                    f"at t={self.now}")
+            self.events_processed += 1
+        while True:
+            try:
+                effect = send(value)
+            except StopIteration as stop:
+                self._finish(thread, stop.value)
+                return
+            value = None
+            cls = effect.__class__
+            if cls is Charge:
+                cycles = effect.cycles
+                record(name, effect.domain, effect.event, cycles)
+                if core.stolen_cycles:
+                    stolen, stolen_entries = core.drain_attributed(cycles)
+                    for sdomain, sevent, took in stolen_entries:
+                        record(name, sdomain, sevent, took)
+                    self.now += cycles + stolen
                 else:
-                    self._interpret(thread, effect)
-                    return
-                if heap:
-                    # Kernel code scheduled something mid-effect (e.g.
-                    # a daemon spawned directly); re-enter the heap so
-                    # it can interleave.
-                    self._schedule(thread, 0.0)
-                    return
-                if self.events_processed >= limit:
-                    self._schedule(thread, 0.0)
-                    raise SimulationError(
-                        f"event budget {max_events} exhausted "
-                        f"at t={self.now}")
-                self.events_processed += 1
-        finally:
-            if buf:
-                self.ledger.record_many(name, buf)
+                    self.now += cycles
+            elif cls is ChargeSpan:
+                entries = effect.entries
+                if entries:
+                    self._apply_span(thread, entries)
+                    # Each entry is one scheduling point on the
+                    # contended path; keep the event accounting
+                    # identical (the loop bottom counts one).
+                    self.events_processed += len(entries) - 1
+            else:
+                self._interpret(thread, effect)
+                return
+            if heap:
+                # Kernel code scheduled something mid-effect (e.g.
+                # a daemon spawned directly); re-enter the heap so
+                # it can interleave.
+                self._schedule(thread, 0.0)
+                return
+            if self.events_processed >= limit:
+                self._schedule(thread, 0.0)
+                raise SimulationError(
+                    f"event budget {max_events} exhausted "
+                    f"at t={self.now}")
+            self.events_processed += 1
 
     # -- main loop ---------------------------------------------------------
     def run(self, max_events: Optional[int] = None) -> float:
@@ -615,7 +494,6 @@ class Engine:
         limit = (self.events_processed + max_events
                  if max_events is not None else float("inf"))
         heap = self._heap
-        fast_forward = self.fast_forward
         ledger = self.ledger
         seq = self._seq
         while heap and self._live_foreground > 0:
@@ -645,17 +523,22 @@ class Engine:
                     continue
             self.now = when
             self.events_processed += 1
-            if fast_forward and not heap and thread.cpu_throttle is None:
-                # Throttled tenant threads always take the classic
-                # path: the drain's tight loop has no stretch hook, and
-                # a sole-runnable throttled thread is rare enough that
-                # skipping the fast path costs nothing measurable.
+            if not heap and thread.cpu_throttle is None:
+                # Throttled tenant threads always take the heap path:
+                # the drain's tight loop has no stretch hook, and a
+                # sole-runnable throttled thread is rare enough that
+                # skipping the drain costs nothing measurable.
                 self._drain(thread, limit, max_events)
                 continue
-            # ``_step``'s body, inlined: this loop interprets every
+            # The contended path, inlined: this loop interprets every
             # contended-path event and the call frame alone is
-            # measurable at tens of thousands of events per point.
-            # Keep in sync with ``_step``.
+            # measurable at tens of thousands of events per point.  A
+            # thread mid-span is *not* resumed: its next buffered entry
+            # is interpreted instead, so a ``ChargeSpan`` occupies one
+            # scheduling point per entry — bit-identical to the
+            # separate ``Charge`` yields it replaced, including how
+            # other threads' records and interrupts interleave between
+            # entries.
             span = thread._span_entries
             if span is not None:
                 index = thread._span_index
@@ -675,11 +558,12 @@ class Engine:
                 continue
             thread._wake_value = None
             cls = effect.__class__
-            if cls is Charge or cls is Compute:
-                if cls is Charge:
-                    domain, event = effect.domain, effect.event
-                else:
-                    domain, event = CostDomain.USERSPACE, "uncharged"
+            if cls is Charge:
+                # _charge_one's body, inlined — including the ledger's
+                # ``record`` (same defaultdict accumulation, same zero
+                # skip) and the heap push: this is the contended path's
+                # per-event cost and every call frame here is measurable.
+                domain = effect.domain
                 cycles = effect.cycles
                 core = thread.core
                 if core.stolen_cycles:
@@ -689,7 +573,7 @@ class Engine:
                     stolen, stolen_entries = 0.0, ()
                 if cycles != 0.0:
                     ledger._domains[domain] += cycles
-                    ledger._events[(domain, event)] += cycles
+                    ledger._events[(domain, effect.event)] += cycles
                     ledger._threads[thread.name][domain] += cycles
                     ledger.records += 1
                 if stolen:

@@ -114,16 +114,6 @@ class MMStruct:
         #: but yields nothing, keeping the event stream bit-identical.
         self.guest = None
 
-    @property
-    def page_table(self):
-        """Back-compat alias: the scheme *is* the translation structure.
-
-        Under ``radix4``/``radix5`` this is a real
-        :class:`~repro.paging.pagetable.PageTable`; the other schemes
-        expose the same mapping primitives.
-        """
-        return self.scheme
-
     # ------------------------------------------------------------------
     # Thread registration (cpumask maintenance).
     # ------------------------------------------------------------------

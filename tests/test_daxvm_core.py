@@ -284,5 +284,5 @@ def test_monitor_triggers_migration_and_repoints_mapping(system):
     assert migrated
     assert vma.leaf_medium is Medium.DRAM
     assert inode.volatile_file_table is not None
-    tr = proc.mm.page_table.translate(vma.user_addr)
+    tr = proc.mm.scheme.translate(vma.user_addr)
     assert tr.level_media[-1] is Medium.DRAM

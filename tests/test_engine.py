@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.obs import CostDomain, charge
+from repro.obs import Charge, CostDomain, charge
 from repro.sim.engine import Block, Compute, Engine, Spawn, Wake
 
 
@@ -552,33 +552,109 @@ def test_charge_span_validates_entries():
     assert engine.run() == 5
 
 
-def test_fast_forward_off_matches_on():
-    """The classic heap path and the fast-forward drain must produce
-    identical clocks, ledgers and event counts."""
+def test_contended_schedule_matches_classic_reference():
+    """Three workers contending on a spinlock, with charge spans: the
+    clock, event count and ledger are the classic one-pop-per-event
+    engine's numbers, pinned from a run of it."""
+    from repro.config import CostModel
     from repro.obs import charge_span
     from repro.sim.locks import Spinlock
 
-    def build(fast_forward):
-        engine = Engine(4, fast_forward=fast_forward)
-        from repro.config import CostModel
-        lock = Spinlock(engine, CostModel(), "t-lock")
+    engine = Engine(4)
+    lock = Spinlock(engine, CostModel(), "t-lock")
 
-        def worker(n):
-            for i in range(20):
-                yield charge(CostDomain.COPY, "memcpy", 10.0 * (n + i))
-                yield from lock.acquire()
-                yield charge(CostDomain.JOURNAL, "commit", 5.0)
-                yield from lock.release()
-                yield charge_span([(CostDomain.WALK, "tlb-walk", 3.0),
-                                   (CostDomain.NUMA, "remote", 2.0)])
+    def worker(n):
+        for i in range(20):
+            yield charge(CostDomain.COPY, "memcpy", 10.0 * (n + i))
+            yield from lock.acquire()
+            yield charge(CostDomain.JOURNAL, "commit", 5.0)
+            yield from lock.release()
+            yield charge_span([(CostDomain.WALK, "tlb-walk", 3.0),
+                               (CostDomain.NUMA, "remote", 2.0)])
 
-        for n in range(3):
-            engine.spawn(worker(n), core=n)
+    for n in range(3):
+        engine.spawn(worker(n), core=n)
+    engine.run()
+    assert engine.now == 10100.0
+    assert engine.events_processed == 365
+    assert engine.ledger.records == 300
+    assert engine.ledger.to_state() == {
+        "domains": {"copy": 6300.0, "journal": 300.0,
+                    "lock_wait": 22805.0, "numa": 120.0, "walk": 180.0},
+        "events": [["copy", "memcpy", 6300.0],
+                   ["journal", "commit", 300.0],
+                   ["lock_wait", "t-lock-acquire", 22480.0],
+                   ["lock_wait", "t-lock-blocked", 325.0],
+                   ["numa", "remote", 120.0],
+                   ["walk", "tlb-walk", 180.0]],
+        "threads": {
+            "thread-0": {"copy": 1900.0, "journal": 100.0,
+                         "lock_wait": 7605.0, "numa": 40.0, "walk": 60.0},
+            "thread-1": {"copy": 2100.0, "journal": 100.0,
+                         "lock_wait": 7600.0, "numa": 40.0, "walk": 60.0},
+            "thread-2": {"copy": 2300.0, "journal": 100.0,
+                         "lock_wait": 7600.0, "numa": 40.0, "walk": 60.0}},
+        "records": 300,
+    }
+
+
+def test_single_threaded_mmap_run_is_drained(monkeypatch):
+    """A sole runnable thread's events go through the drain, not one
+    heap round-trip each."""
+    from repro.paging.tlb import AccessPattern
+    from repro.system import System
+    from repro.workloads import Interface, RepetitiveConfig, run_repetitive
+
+    drained = 0
+    original = Engine._drain
+
+    def counting_drain(self, thread, limit, max_events):
+        nonlocal drained
+        before = self.events_processed
+        try:
+            original(self, thread, limit, max_events)
+        finally:
+            # The pop that entered the drain counts as drained too.
+            drained += self.events_processed - before + 1
+
+    monkeypatch.setattr(Engine, "_drain", counting_drain)
+    system = System(device_bytes=1 << 30)
+    run_repetitive(system, RepetitiveConfig(
+        file_size=4 << 20, op_size=4096, num_ops=200,
+        interface=Interface.MMAP, pattern=AccessPattern.RANDOM))
+    assert system.engine.events_processed > 200
+    assert drained >= 0.99 * system.engine.events_processed
+
+
+def test_compute_is_an_uncharged_charge():
+    effect = Compute(7)
+    assert effect.__class__ is Charge
+    assert effect.domain is CostDomain.USERSPACE
+    assert effect.event == "uncharged"
+    assert effect.cycles == 7
+
+
+def test_charges_before_a_raise_mid_drain_stay_in_the_ledger():
+    """A generator that raises inside the drain keeps every charge it
+    made before the raise (``reap_crashed`` callers read them)."""
+    from repro.obs import charge_span
+
+    engine = Engine(1)
+
+    def worker():
+        yield charge(CostDomain.COPY, "memcpy", 10.0)
+        yield charge_span([(CostDomain.WALK, "tlb-walk", 3.0),
+                           (CostDomain.NUMA, "remote", 2.0)])
+        yield Compute(4.0)
+        raise RuntimeError("simulated SIGBUS")
+
+    thread = engine.spawn(worker())
+    with pytest.raises(RuntimeError):
         engine.run()
-        return engine
-
-    on = build(True)
-    off = build(False)
-    assert on.now == off.now
-    assert on.events_processed == off.events_processed
-    assert on.ledger.to_state() == off.ledger.to_state()
+    assert engine.now == 19.0
+    assert engine.ledger.records == 4
+    assert engine.ledger.to_state()["threads"] == {
+        "thread-0": {"copy": 10.0, "numa": 2.0, "userspace": 4.0,
+                     "walk": 3.0}}
+    engine.reap_crashed()
+    assert thread.finished

@@ -229,7 +229,7 @@ def test_mprotect_full_range(system):
 
     vma = run(system, flow())
     assert vma.prot == Protection.READ
-    assert not proc.mm.page_table.translate(vma.start).flags.writable
+    assert not proc.mm.scheme.translate(vma.start).flags.writable
 
 
 def test_mprotect_rejected_on_ephemeral(system):

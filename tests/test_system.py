@@ -63,7 +63,7 @@ def test_seconds_conversion():
 
 def test_shared_bandwidth_is_wired():
     system = System(device_bytes=1 << 30)
-    assert system.mem.shared is not None
+    assert system.mem.pool(0) is not None
     assert system.fs.engine is system.engine
 
 
