@@ -6,7 +6,7 @@ point now simulates at least 5x faster than the median wall stored in
 ``BENCH_PR3.json``.  Correctness is not at stake here (the ``engine``
 case of ``tests/test_goldens.py`` pins bit-identical results); this
 bench pins the *performance* half of the tentpole and records the
-evidence into ``BENCH_PR7.json``.
+evidence into the per-bench log (``.benchmarks/bench_log.json``).
 
 Measurement notes:
 
@@ -30,7 +30,7 @@ walls it records say whether that happened.
 
 The bench also exercises the new ``--profile`` plumbing end to end on
 a slice of the same sweep and stores the merged top-functions table,
-so ``BENCH_PR7.json`` documents *where* the remaining time goes.
+so the per-bench log documents *where* the remaining time goes.
 """
 
 import json

@@ -14,29 +14,31 @@ from conftest import once
 
 from repro.analysis.results import Table
 from repro.analysis.report import format_table
-from repro.system import System
-from repro.workloads import AppendConfig, AppendVariant, run_append
+from repro.machine import MachineSpec
+from repro.runner import build_sweep, run_sweep
 
 SIZES = [4 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20]
 
 
-def _run(fs_type, variant, size):
-    system = System(device_bytes=4 << 30, fs_type=fs_type)
-    cfg = AppendConfig(append_size=size, num_appends=40, variant=variant)
-    return run_append(system, cfg)
+def _runs(fs_type, keep=lambda point: True):
+    """The ``appends`` sweep's ``fs_type`` points that ``keep`` accepts
+    (40 appends each on a fresh 4 GiB image), as
+    ``{(size, variant): RunResult}``."""
+    sweep = build_sweep(
+        "appends", ops=320, size=0, base=MachineSpec(device_gib=4),
+        keep=lambda point: (point.series.startswith(f"{fs_type}:")
+                            and keep(point)))
+    result = run_sweep(sweep, jobs=2)
+    assert not result.failed
+    return {(int(pr.point.x) << 10, pr.point.series.split(":", 1)[1]):
+            pr.run for pr in result.points}
 
 
 def _sweep(fs_type):
-    out = {}
-    for size in SIZES:
-        base = _run(fs_type, AppendVariant.WRITE, size).mb_per_second
-        out[(size, "write")] = 1.0
-        for variant in (AppendVariant.MMAP, AppendVariant.DAXVM,
-                        AppendVariant.DAXVM_PREZERO,
-                        AppendVariant.DAXVM_PREZERO_NOSYNC):
-            r = _run(fs_type, variant, size)
-            out[(size, variant.value)] = r.mb_per_second / base
-    return out
+    runs = _runs(fs_type)
+    return {(size, variant): run.mb_per_second
+            / runs[(size, "write")].mb_per_second
+            for (size, variant), run in runs.items()}
 
 
 def _print(fs_type, out):
@@ -83,14 +85,15 @@ def test_fig7_nova(benchmark):
 def test_fig7_zeroing_share_of_append_latency(benchmark):
     """§III-B: 30-40 % of an MM append's latency is block zeroing."""
 
+    sizes = (64 << 10, 256 << 10, 1 << 20)
+
     def experiment():
-        shares = []
-        for size in (64 << 10, 256 << 10, 1 << 20):
-            with_zero = _run("ext4", AppendVariant.DAXVM, size)
-            without = _run("ext4", AppendVariant.DAXVM_PREZERO, size)
-            share = 1 - (without.latency_us / with_zero.latency_us)
-            shares.append(share)
-        return shares
+        runs = _runs("ext4", lambda point: (
+            int(point.x) << 10 in sizes
+            and point.series in ("ext4:daxvm", "ext4:daxvm+prezero")))
+        return [1 - (runs[(size, "daxvm+prezero")].latency_us
+                     / runs[(size, "daxvm")].latency_us)
+                for size in sizes]
 
     shares = once(benchmark, experiment)
     print("Fig 7 zeroing share of MM append latency:",

@@ -13,7 +13,9 @@ both guest workloads.  Asserted shape:
 * the prefetch kthread does real work — prefetched pages land only
   when it runs — and never makes the run slower than pulling every
   page on demand;
-* the virt config rides in the cache key: 18 distinct keys, warm
+* a source forced into degraded mode aborts its migration and the
+  guest serves accesses degraded instead;
+* the virt config rides in the cache key: 20 distinct keys, warm
   replay byte-exact.
 """
 
@@ -47,7 +49,8 @@ def test_migrate_sweep(benchmark, tmp_path, bench_extra):
                        cold.hits, cold.misses, cold.wall_seconds))
 
     assert not cold.failed
-    assert len(cold.points) == 18  # 2 workloads x (1 base + 4x2 migrate)
+    # 2 workloads x (1 base + 4x2 migrate + 1 degraded)
+    assert len(cold.points) == 20
 
     # The virt payload is part of the cache key; warm replay byte-exact.
     keys = {p.point.cache_key("fp") for p in cold.points}
@@ -80,6 +83,11 @@ def test_migrate_sweep(benchmark, tmp_path, bench_extra):
             # floor, and every started migration lands COMPLETED.
             assert p.run.cycles >= base_cycles[workload], (series, x)
             started = c["virt.migrations_started"]
+            if series.endswith("+degraded"):
+                assert started == c["virt.migrations_aborted"] == 1
+                assert c["virt.migrations_completed"] == 0
+                assert c["virt.degraded_accesses"] > 0, (series, x)
+                continue
             assert c["virt.migrations_completed"] == started
             assert c["virt.migrations_aborted"] == 0
             if not started:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List
 
 from repro.analysis.results import Series, Table
-from repro.obs import DOMAIN_ORDER
 
 
 def format_table(table: Table) -> str:
@@ -45,32 +44,6 @@ def format_series(title: str, series: Iterable[Series],
             cells.append(y if y is not None else "-")
         table.add_row(*cells)
     return format_table(table)
-
-
-def format_domain_breakdown(title: str, domains: Dict[str, float],
-                            width: int = 32) -> str:
-    """Render a per-cost-domain cycle breakdown (ledger output).
-
-    ``domains`` is ``{"zeroing": cycles, ...}`` as produced by
-    :meth:`repro.obs.Ledger.domains` or :attr:`repro.analysis.results.
-    RunResult.domains`; domains print in the canonical taxonomy order
-    with their share of all attributed cycles.
-    """
-    total = sum(domains.values())
-    known = [d.value for d in DOMAIN_ORDER if d.value in domains]
-    extra = sorted(k for k in domains if k not in known)
-    keys = known + extra
-    lwidth = max((len(k) for k in keys), default=5)
-    lwidth = max(lwidth, len("total"))
-    lines = [title]
-    for key in keys:
-        cycles = domains[key]
-        share = cycles / total if total else 0.0
-        bar = "#" * max(1, int(width * share)) if cycles else ""
-        lines.append(f"{key.ljust(lwidth)}  {cycles:14.0f}"
-                     f"  {share * 100:5.1f}%  {bar}")
-    lines.append(f"{'total'.ljust(lwidth)}  {total:14.0f}  100.0%")
-    return "\n".join(lines)
 
 
 def format_lock_report(title: str,

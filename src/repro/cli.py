@@ -13,16 +13,9 @@ import sys
 from dataclasses import replace
 from typing import Callable, Dict
 
-from repro.analysis.report import (
-    format_domain_breakdown,
-    format_lock_report,
-    format_series,
-    format_sweep,
-    format_table,
-)
+from repro.analysis.report import format_series, format_sweep, format_table
 from repro.analysis.results import Table
 from repro.config import MEDIA_PRESETS
-from repro.obs import Counter
 from repro.topology import PLACEMENTS
 from repro.runner import (
     DEFAULT_CACHE_DIR,
@@ -31,23 +24,18 @@ from repro.runner import (
     build_sweep,
     run_sweep,
 )
+from repro.runner.views import PERF_TARGETS, render, view_state
 from repro.paging.schemes import SCHEME_NAMES
 from repro.paging.tlb import AccessPattern
 from repro.machine import MachineSpec
 from repro.workloads import (
-    ApacheConfig,
-    AppendConfig,
-    AppendVariant,
     DaxVMOptions,
     EphemeralConfig,
     Interface,
     KVConfig,
     PRedisConfig,
     RepetitiveConfig,
-    ServerInterface,
     YCSBConfig,
-    run_apache,
-    run_append,
     run_ephemeral,
     run_predis,
     run_repetitive,
@@ -55,21 +43,12 @@ from repro.workloads import (
 )
 
 EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], None]] = {}
-PERF_TARGETS: Dict[str, Callable[[argparse.Namespace], None]] = {}
 
 
 def experiment(name: str, help_text: str):
     def decorate(fn):
         fn.help_text = help_text
         EXPERIMENTS[name] = fn
-        return fn
-    return decorate
-
-
-def perf_target(name: str, help_text: str):
-    def decorate(fn):
-        fn.help_text = help_text
-        PERF_TARGETS[name] = fn
         return fn
     return decorate
 
@@ -113,13 +92,15 @@ def _ephemeral(args):
     print(format_table(table))
 
 
-def _run_named_sweep(args, name: str):
-    """Build and execute a registered sweep with the CLI knobs."""
+def _run_named_sweep(args, name: str, keep=None):
+    """Build and execute a registered sweep with the CLI knobs, on the
+    points ``keep(point)`` accepts (all by default)."""
     # Sweeps take media, device size and age from the flags; every
     # other machine knob is a sweep axis or pinned per point.
     base = MachineSpec(media=args.media, device_gib=args.device,
                        aged=not args.fresh)
-    sweep = build_sweep(name, ops=args.ops, size=args.size, base=base)
+    sweep = build_sweep(name, ops=args.ops, size=args.size, base=base,
+                        keep=keep)
     if args.max_points is not None and len(sweep.points) > args.max_points:
         print(f"sweep: truncating {name} to the first {args.max_points} "
               f"of {len(sweep.points)} points (--max-points)",
@@ -241,31 +222,39 @@ def _replica(args) -> MachineSpec:
     return replace(_machine(args), aged=False, fs=args.fs)
 
 
+def _audit_report(args, summary, title: str, keys, failures: int,
+                  failure: str) -> None:
+    """Print an audit summary as a table (or ``--json``); exit nonzero
+    with ``failure`` if there were ``failures``."""
+    state = summary.to_state()
+    if args.json:
+        print(json.dumps(state, indent=2, sort_keys=True))
+    else:
+        table = Table(title, ["metric", "value"])
+        for key in keys:
+            table.add_row(key, state[key])
+        print(format_table(table))
+        for line in summary.violations:
+            print(f"VIOLATION: {line}")
+    if failures:
+        raise SystemExit(failure)
+
+
 @experiment("crash", "crash-point injection + recovery audit")
 def _crash(args):
     from repro.crash import run_crash
 
     summary = run_crash(_replica(args).build, args.workload,
                         seed=args.seed, max_points=args.max_points)
-    if args.json:
-        print(json.dumps(summary.to_state(), indent=2, sort_keys=True))
-    else:
-        state = summary.to_state()
-        table = Table(
-            f"Crash sweep: {summary.workload}, seed {summary.seed}",
-            ["metric", "value"])
-        for key in ("total_transitions", "points_explored",
-                    "invariant_violations", "lost_records",
-                    "replayed_records", "rolled_back_txns",
-                    "orphan_blocks", "tables_repaired", "ptes_replayed"):
-            table.add_row(key, state[key])
-        print(format_table(table))
-        for line in summary.violations:
-            print(f"VIOLATION: {line}")
-    if summary.invariant_violations:
-        raise SystemExit(
-            f"crash: {summary.invariant_violations} invariant "
-            f"violation(s) across {summary.points_explored} points")
+    _audit_report(
+        args, summary,
+        f"Crash sweep: {summary.workload}, seed {summary.seed}",
+        ("total_transitions", "points_explored", "invariant_violations",
+         "lost_records", "replayed_records", "rolled_back_txns",
+         "orphan_blocks", "tables_repaired", "ptes_replayed"),
+        summary.invariant_violations,
+        f"crash: {summary.invariant_violations} invariant violation(s) "
+        f"across {summary.points_explored} points")
 
 
 @experiment("faults", "media-fault injection + poison-handling audit")
@@ -278,24 +267,15 @@ def _faults(args):
             + ", ".join(sorted(FAULT_WORKLOADS)))
     summary = run_faults(_replica(args).build, args.workload,
                          seed=args.seed, max_sites=args.max_sites)
-    if args.json:
-        print(json.dumps(summary.to_state(), indent=2, sort_keys=True))
-    else:
-        state = summary.to_state()
-        table = Table(
-            f"Media-fault sweep: {summary.workload}, "
-            f"seed {summary.seed}", ["metric", "value"])
-        for key in ("total_touches", "sites_explored", "remapped",
-                    "cleared", "sigbus_cleared", "bw_windows", "stalls",
-                    "bytes_lost", "violations"):
-            table.add_row(key, state[key])
-        print(format_table(table))
-        for line in summary.violations:
-            print(f"VIOLATION: {line}")
-    if summary.violations:
-        raise SystemExit(
-            f"faults: {len(summary.violations)} unhandled-poison "
-            f"violation(s) across {summary.sites_explored} sites")
+    _audit_report(
+        args, summary,
+        f"Media-fault sweep: {summary.workload}, seed {summary.seed}",
+        ("total_touches", "sites_explored", "remapped", "cleared",
+         "sigbus_cleared", "bw_windows", "stalls", "bytes_lost",
+         "violations"),
+        len(summary.violations),
+        f"faults: {len(summary.violations)} unhandled-poison "
+        f"violation(s) across {summary.sites_explored} sites")
 
 
 @experiment("migrate", "crash/fault hardening audit of post-copy live "
@@ -308,470 +288,15 @@ def _migrate(args):
         max_points=args.max_points, max_sites=args.max_sites,
         composed_points=max(2, min(args.max_points, 6)),
         machine=_replica(args))
-    if args.json:
-        print(json.dumps(summary.to_state(), indent=2, sort_keys=True))
-    else:
-        state = summary.to_state()
-        table = Table(
-            f"Migration hardening audit, seeds {summary.seeds}, "
-            f"trigger after {summary.migrate_after} accesses",
-            ["metric", "value"])
-        for key in ("crash_points", "fault_sites", "composed_points",
-                    "points_explored", "violations"):
-            table.add_row(key, state[key])
-        print(format_table(table))
-        for line in summary.violations:
-            print(f"VIOLATION: {line}")
-    if summary.violations:
-        raise SystemExit(
-            f"migrate: {len(summary.violations)} invariant violation(s) "
-            f"across {summary.points_explored} points")
-
-
-@perf_target("fig7", "per-domain cycle breakdown of ext4-DAX appends")
-def _perf_fig7(args):
-    """Where do mmap-append cycles go?  The ledger answers directly:
-    zeroing dominates (the paper's Fig. 7 motivation) without any
-    bench-side counter arithmetic."""
-    system = _machine(args).build()
-    cfg = AppendConfig(append_size=args.size if args.size != 32 << 10
-                       else 256 << 10,
-                       num_appends=max(8, args.ops // 8),
-                       variant=AppendVariant.MMAP)
-    r = run_append(system, cfg)
-    if args.json:
-        print(json.dumps({
-            "target": "fig7",
-            "label": r.label,
-            "cycles": r.cycles,
-            "domains": r.domains,
-            "percentiles": r.percentiles,
-            "stats": system.stats.to_json(),
-            "ledger": system.ledger.to_json(),
-        }, indent=2, sort_keys=True))
-        return
-    print(format_domain_breakdown(
-        f"ext4-DAX mmap append, {cfg.append_size >> 10} KB "
-        f"x {cfg.num_appends} (cycles by cost domain)", r.domains))
-    append_summary = r.percentiles.get("span.append")
-    if append_summary:
-        print(f"append latency (cycles): "
-              f"p50={append_summary['p50']:.0f} "
-              f"p95={append_summary['p95']:.0f} "
-              f"p99={append_summary['p99']:.0f}")
-    share = r.domain_share("zeroing")
-    print(f"zeroing share of attributed cycles: {share * 100:.1f}%")
-
-
-@perf_target("fig8a", "mmap_sem wait-vs-hold under webserver load")
-def _perf_fig8a(args):
-    """The rw-semaphore contention behind Fig. 8a's mmap collapse:
-    per-lock wait and hold cycles recorded by the locks themselves."""
-    workers = args.threads if args.threads > 1 else 8
-    system = _machine(args).build()
-    cfg = ApacheConfig(num_workers=workers, requests=args.ops,
-                       interface=ServerInterface.MMAP)
-    r = run_apache(system, cfg)
-    reports = [lock.report() for lock in system.engine.locks
-               if lock.acquisitions]
-    if args.json:
-        print(json.dumps({
-            "target": "fig8a",
-            "label": r.label,
-            "cycles": r.cycles,
-            "domains": r.domains,
-            "locks": reports,
-            "stats": system.stats.to_json(),
-        }, indent=2, sort_keys=True))
-        return
-    print(format_lock_report(
-        f"Apache mmap, {workers} workers x {args.ops} requests",
-        reports))
-    print()
-    print(format_domain_breakdown("cycles by cost domain", r.domains))
-
-
-@perf_target("numa", "local/remote access mix on a multi-socket machine")
-def _perf_numa(args):
-    """Where do cross-socket cycles go?  Runs the pinned read-once
-    mmap workload under the requested placement and reports the
-    local/remote access split, cross-socket shootdown IPIs and the
-    remote-access cycles the ledger attributes to the numa domain."""
-    spec = _machine(args)
-    if len(spec.nodes) < 2:
-        spec = replace(spec, nodes=("ddr", "ddr"))
-    system = spec.build()
-    threads = args.threads if args.threads > 1 else 4
-    cfg = EphemeralConfig(file_size=args.size, num_files=args.ops,
-                          num_threads=threads, interface=Interface.MMAP,
-                          pin_node=args.pin_node)
-    r = run_ephemeral(system, cfg)
-    counters = {c.value: system.stats.get(c) for c in (
-        Counter.NUMA_LOCAL_ACCESSES, Counter.NUMA_REMOTE_ACCESSES,
-        Counter.NUMA_LOCAL_BYTES, Counter.NUMA_REMOTE_BYTES,
-        Counter.NUMA_CROSS_IPIS, Counter.NUMA_CROSS_IPI_CYCLES)}
-    if args.json:
-        print(json.dumps({
-            "target": "numa",
-            "label": r.label,
-            "nodes": len(spec.nodes),
-            "placement": args.policy,
-            "pin_node": args.pin_node,
-            "cycles": r.cycles,
-            "domains": r.domains,
-            "numa_counters": counters,
-            "stats": system.stats.to_json(),
-            "ledger": system.ledger.to_json(),
-        }, indent=2, sort_keys=True))
-        return
-    print(format_domain_breakdown(
-        f"mmap read-once, {len(spec.nodes)} sockets, placement="
-        f"{args.policy}, threads pinned to node {args.pin_node} "
-        f"(cycles by cost domain)", r.domains))
-    accesses = (counters["numa.local_accesses"]
-                + counters["numa.remote_accesses"])
-    remote_share = (counters["numa.remote_accesses"] / accesses
-                    if accesses else 0.0)
-    print(f"accesses: {counters['numa.local_accesses']:.0f} local, "
-          f"{counters['numa.remote_accesses']:.0f} remote "
-          f"({remote_share * 100:.1f}% remote)")
-    print(f"bytes:    {counters['numa.local_bytes'] / 1e6:.1f} MB local, "
-          f"{counters['numa.remote_bytes'] / 1e6:.1f} MB remote")
-    print(f"shootdowns: {counters['numa.cross_socket_ipis']:.0f} "
-          f"cross-socket IPIs, "
-          f"{counters['numa.cross_socket_ipi_cycles']:.0f} cycles")
-
-
-@perf_target("mmu", "Table II/III walk + attach costs per translation "
-                    "scheme")
-def _perf_mmu(args):
-    """DaxVM's cost structure under each MMU (repro.paging.schemes).
-
-    First a Table II analogue: average cycles per 4 KB TLB miss for
-    each scheme, by access pattern and file-table medium, plus whether
-    PMem-resident tables would trip the Table III monitor rule.  Then
-    one DaxVM syncbench run per scheme, reporting where the ledger
-    says the attach/detach and walk cycles actually went, and the
-    per-process structure-frame footprint of mapping 2 MB of 4 KB
-    pages.
-    """
-    from repro.mem.physmem import Medium
-    from repro.obs import CostDomain
-    from repro.paging.flags import PageFlags
-    from repro.paging.pagetable import PAGE_SIZE
-    from repro.paging.schemes import make_scheme
-    from repro.paging.walker import PageWalker
-    from repro.workloads import SyncConfig, SyncDiscipline, run_sync
-
-    costs = MEDIA_PRESETS[args.media]()
-    walker = PageWalker(costs)
-    spec = _machine(args)
-    cases = [("seq/DRAM", AccessPattern.SEQUENTIAL, Medium.DRAM),
-             ("rand/DRAM", AccessPattern.RANDOM, Medium.DRAM),
-             ("seq/PMem", AccessPattern.SEQUENTIAL, Medium.PMEM),
-             ("rand/PMem", AccessPattern.RANDOM, Medium.PMEM)]
-    walk_rows = {}
-    bench_rows = {}
-    for name in SCHEME_NAMES:
-        physmem = MachineSpec(media=args.media).build().physmem
-        probe = make_scheme(name, physmem, costs)
-        # The walk costs a DaxVM mapping on this scheme actually pays:
-        # schemes that copy translations into process-private DRAM
-        # never see the PMem leaf penalty.
-        walks = {label: probe.walk_cost(
-                     walker, pattern, probe.effective_leaf_medium(medium))
-                 for label, pattern, medium in cases}
-        walks["huge"] = probe.huge_walk_cost(walker)
-        # Table III rule, first clause: would persistent tables push
-        # the average walk past the monitor's migration threshold?
-        walks["monitor"] = (walks["rand/PMem"]
-                            > costs.monitor_walk_cycles)
-        base = 0x40000000
-        for i in range(512):
-            probe.map_page(base + i * PAGE_SIZE, 1024 + i,
-                           PageFlags.rw())
-        walks["frames_2mb"] = len(probe.structure_frames())
-        walk_rows[name] = walks
-
-        system = replace(spec, scheme=name).build()
-        cfg = SyncConfig(file_size=max(args.size, 4 << 20),
-                         op_size=1 << 10, ops_per_sync=8,
-                         num_syncs=max(8, min(args.ops, 64)),
-                         discipline=SyncDiscipline.DAXVM_FSYNC)
-        r = run_sync(system, cfg)
-        bench_rows[name] = {
-            "cycles": r.cycles,
-            "attach_cycles": system.ledger.event_total(
-                CostDomain.FILETABLE, "attach"),
-            "detach_cycles": system.ledger.event_total(
-                CostDomain.FILETABLE, "detach"),
-            "walk_cycles": system.stats.get(Counter.VM_WALK_CYCLES),
-            "tlb_misses": system.stats.get(Counter.VM_TLB_MISSES),
-        }
-    if args.json:
-        print(json.dumps({
-            "target": "mmu",
-            "media": args.media,
-            "walks": walk_rows,
-            "syncbench": bench_rows,
-        }, indent=2, sort_keys=True))
-        return
-    table = Table(f"Avg cycles per 4KB walk ({args.media})",
-                  ["scheme"] + [c[0] for c in cases]
-                  + ["huge", "PMem trips monitor", "frames/2MB"])
-    for name, walks in walk_rows.items():
-        table.add_row(name, *(walks[c[0]] for c in cases),
-                      walks["huge"],
-                      "yes" if walks["monitor"] else "no",
-                      walks["frames_2mb"])
-    print(format_table(table))
-    print()
-    bench = Table("DaxVM syncbench (MAP_SYNC fsync discipline)",
-                  ["scheme", "cycles", "attach cyc", "detach cyc",
-                   "walk cyc", "tlb misses"])
-    for name, row in bench_rows.items():
-        bench.add_row(name, row["cycles"], row["attach_cycles"],
-                      row["detach_cycles"], row["walk_cycles"],
-                      row["tlb_misses"])
-    print(format_table(bench))
-
-
-@perf_target("tiering", "hot/cold daemon breakdown: migrations, "
-                        "residency, tier cycles")
-def _perf_tiering(args):
-    """What does ktierd cost, and what does it buy?  Runs the DaxVM
-    syncbench with file data priced on a slow tier (``--tiering``
-    medium, default cxl), once without and once with the migration
-    daemon, and reports total cycles, the ledger's ``tiering`` domain,
-    the migration counters and the final tier residency."""
-    from repro.obs import CostDomain
-    from repro.tiering import TieringConfig
-    from repro.workloads import SyncConfig, SyncDiscipline, run_sync
-
-    spec = _machine(args)
-    tier = spec.tier or "cxl"
-    if tier == "cxl" and not args.node_kinds:
-        spec = replace(spec, nodes=("ddr", "cxl"))
-    ktierd = TieringConfig(scan_interval=5e5, hot_touches=1, cold_scans=4)
-    rows = {}
-    for daemon in (False, True):
-        system = replace(spec, tier=tier,
-                         ktierd=ktierd if daemon else None).build()
-        cfg = SyncConfig(file_size=max(args.size, 4 << 20),
-                         op_size=1 << 10, ops_per_sync=16,
-                         num_syncs=max(8, min(args.ops, 64)),
-                         discipline=SyncDiscipline.DAXVM_FSYNC)
-        r = run_sync(system, cfg)
-        rows["ktierd" if daemon else "static"] = {
-            "cycles": r.cycles,
-            "domains": r.domains,
-            "tiering_cycles": system.ledger.domain_total(
-                CostDomain.TIERING),
-            "scans": system.stats.get(Counter.TIERING_SCANS),
-            "promoted_pages": system.stats.get(
-                Counter.TIERING_PROMOTED_PAGES),
-            "demoted_pages": system.stats.get(
-                Counter.TIERING_DEMOTED_PAGES),
-            "migrated_bytes": system.stats.get(
-                Counter.TIERING_MIGRATED_BYTES),
-            "writeback_bytes": system.stats.get(
-                Counter.TIERING_WRITEBACK_BYTES),
-            "shootdowns": system.stats.get(Counter.TIERING_SHOOTDOWNS),
-            "residency": system.mem.tiers.residency(),
-        }
-    if args.json:
-        print(json.dumps({"target": "tiering", "tier": tier,
-                          "media": args.media, "rows": rows},
-                         indent=2, sort_keys=True))
-        return
-    print(format_domain_breakdown(
-        f"DaxVM syncbench, data on {tier}, ktierd on "
-        f"(cycles by cost domain)", rows["ktierd"]["domains"]))
-    table = Table(f"Static {tier} placement vs ktierd migration",
-                  ["variant", "cycles", "tiering cyc", "scans",
-                   "promoted", "demoted", "migrated MB", "shootdowns"])
-    for variant, row in rows.items():
-        table.add_row(variant, row["cycles"], row["tiering_cycles"],
-                      row["scans"], row["promoted_pages"],
-                      row["demoted_pages"],
-                      round(row["migrated_bytes"] / 1e6, 2),
-                      row["shootdowns"])
-    print(format_table(table))
-    resident = rows["ktierd"]["residency"]
-    print(f"ktierd residency at exit: "
-          f"{resident if resident else 'all granules on the device tier'}")
-
-
-@perf_target("consolidate", "per-tenant breakdown + p99-vs-tenant-count "
-                            "knee on one consolidated machine")
-def _perf_consolidate(args):
-    """Where does per-tenant tail latency knee as tenants pile on?
-    Runs the apache mix at 1..``--tenants`` tenants (quotas off) for
-    the knee table, then one fully loaded machine with quotas *on*
-    and the antagonist hog for the per-tenant breakdown: requests,
-    p50/p99, throttle cycles, and each tenant's lock-wait and tenancy
-    ledger cycles."""
-    from repro.tenancy import consolidate_config, run_consolidate
-
-    requests = max(8, min(args.ops, 64))
-    counts = [n for n in (1, 2, 4, 8, 16, 32) if n <= args.tenants]
-    if counts[-1] != args.tenants:
-        counts.append(args.tenants)
-
-    def tenant_p99s(system, run, config):
-        rows = {}
-        for tenant in config.tenants:
-            if tenant.kind == "antagonist":
-                continue
-            hist = run.percentiles.get(f"tenant.{tenant.name}.request")
-            if hist is None:
-                # Degenerate single-tenant path: the un-tenanted
-                # apache runner observed the span histogram instead.
-                hist = run.percentiles.get("span.apache.request", {})
-            rows[tenant.name] = hist
-        return rows
-
-    spec = _machine(args)
-    knee = []
-    for n in counts:
-        config = consolidate_config(n, "apache", requests=requests)
-        system = replace(spec, tenancy=config).build()
-        run = run_consolidate(system)
-        hists = tenant_p99s(system, run, config)
-        p50s = [h.get("p50", 0.0) for h in hists.values()]
-        p99s = [h.get("p99", 0.0) for h in hists.values()]
-        knee.append({
-            "tenants": n,
-            "cycles": run.cycles,
-            "kops_per_sec": run.ops_per_second / 1e3,
-            "p50": sum(p50s) / max(1, len(p50s)),
-            "p99": max(p99s) if p99s else 0.0,
-        })
-
-    config = consolidate_config(args.tenants, "apache", quotas=True,
-                                antagonist=True, requests=requests)
-    system = replace(spec, tenancy=config).build()
-    run = run_consolidate(system)
-    runtime = system.tenancy
-    views = runtime.ledger_views()
-    hists = tenant_p99s(system, run, config)
-    breakdown = {}
-    for tenant in config.tenants:
-        view = views.get(tenant.name, {})
-        hist = hists.get(tenant.name, {})
-        breakdown[tenant.name] = {
-            "kind": tenant.kind,
-            "requests": system.stats.get(f"tenant.{tenant.name}.requests"),
-            "p50": hist.get("p50", 0.0),
-            "p99": hist.get("p99", 0.0),
-            "throttle_cycles": system.stats.get(
-                f"tenant.{tenant.name}.cpu_throttle_cycles"),
-            "peak_kernel_bytes": system.stats.get(
-                f"tenant.{tenant.name}.peak_kernel_bytes"),
-            "lock_wait_cycles": view.get("lock_wait", 0.0),
-            "tenancy_cycles": view.get("tenancy", 0.0),
-            "total_cycles": sum(view.values()),
-        }
-
-    if args.json:
-        print(json.dumps({"target": "consolidate", "media": args.media,
-                          "requests": requests, "knee": knee,
-                          "breakdown": breakdown},
-                         indent=2, sort_keys=True))
-        return
-    table = Table("Per-tenant latency vs tenant count (apache mix, "
-                  "no quotas)",
-                  ["tenants", "cycles", "Kops/s", "mean p50", "max p99"])
-    for row in knee:
-        table.add_row(row["tenants"], row["cycles"],
-                      round(row["kops_per_sec"], 3),
-                      round(row["p50"]), round(row["p99"]))
-    print(format_table(table))
-    table = Table(f"Fully loaded machine: {args.tenants} tenants + hog, "
-                  f"quotas on",
-                  ["tenant", "kind", "requests", "p50", "p99",
-                   "throttled cyc", "lock-wait cyc", "total cyc"])
-    for name, row in breakdown.items():
-        table.add_row(name, row["kind"], round(row["requests"]),
-                      round(row["p50"]), round(row["p99"]),
-                      round(row["throttle_cycles"]),
-                      round(row["lock_wait_cycles"]),
-                      round(row["total_cycles"]))
-    print(format_table(table))
-
-
-@perf_target("migrate", "guest overheads: pass-through identity, nested "
-                        "walks, migration downtime and pull traffic")
-def _perf_migrate(args):
-    """What does each layer of the hypervisor cost?  Runs the guest
-    workload bare, under a pass-through hypervisor (must be
-    bit-identical), with nested walk pricing, with a full post-copy
-    migration (prefetch on/off) and in forced-degraded mode, and
-    reports downtime, pull traffic and the ledger's virt domain."""
-    from repro.crash.workloads import CRASH_WORKLOADS
-    from repro.runner.worker import _reset_naming_counters
-    from repro.virt import VirtConfig, run_migrate
-
-    workload = args.workload if args.workload in CRASH_WORKLOADS \
-        else "syncbench"
-    variants = [
-        ("bare", None),
-        ("passive", VirtConfig()),
-        ("nested", VirtConfig(nested=True)),
-        ("migrate+prefetch", VirtConfig(nested=True, migrate=True,
-                                        migrate_after=24, seed=args.seed)),
-        ("migrate+noprefetch", VirtConfig(nested=True, migrate=True,
-                                          migrate_after=24, prefetch=False,
-                                          seed=args.seed)),
-        ("degraded", VirtConfig(nested=True, migrate=True,
-                                migrate_after=24, force_degraded=True,
-                                seed=args.seed)),
-    ]
-    spec = _machine(args)
-    rows = {}
-    for name, config in variants:
-        _reset_naming_counters()
-        system = replace(spec, virt=config).build()
-        if config is None:
-            CRASH_WORKLOADS[workload](system)
-            rows[name] = {"cycles": system.engine.now, "virt_cycles": 0.0,
-                          "downtime": 0.0, "pulled": 0.0,
-                          "prefetched": 0.0, "retries": 0.0,
-                          "degraded": 0.0, "completed": 0.0,
-                          "aborted": 0.0}
-            continue
-        r = run_migrate(system, workload)
-        rows[name] = {
-            "cycles": r.cycles,
-            "virt_cycles": r.domains.get("virt", 0.0),
-            "downtime": r.counters["virt.downtime_cycles"],
-            "pulled": r.counters["virt.pages_pulled"],
-            "prefetched": r.counters["virt.prefetched_pages"],
-            "retries": r.counters["virt.pull_retries"],
-            "degraded": r.counters["virt.degraded_accesses"],
-            "completed": r.counters["virt.migrations_completed"],
-            "aborted": r.counters["virt.migrations_aborted"],
-        }
-    identical = rows["passive"]["cycles"] == rows["bare"]["cycles"]
-    if args.json:
-        print(json.dumps({"target": "migrate", "workload": workload,
-                          "media": args.media,
-                          "passive_identical": identical, "rows": rows},
-                         indent=2, sort_keys=True))
-        return
-    table = Table(f"Hypervisor layers over {workload} ({args.media})",
-                  ["variant", "cycles", "virt cyc", "downtime",
-                   "pulled", "prefetched", "retries", "degraded",
-                   "done/abort"])
-    for name, row in rows.items():
-        table.add_row(name, row["cycles"], round(row["virt_cycles"]),
-                      round(row["downtime"]), round(row["pulled"]),
-                      round(row["prefetched"]), round(row["retries"]),
-                      round(row["degraded"]),
-                      f"{row['completed']:.0f}/{row['aborted']:.0f}")
-    print(format_table(table))
-    print(f"pass-through guest bit-identical to bare machine: "
-          f"{'yes' if identical else 'NO'}")
+    _audit_report(
+        args, summary,
+        f"Migration hardening audit, seeds {summary.seeds}, "
+        f"trigger after {summary.migrate_after} accesses",
+        ("crash_points", "fault_sites", "composed_points",
+         "points_explored", "violations"),
+        len(summary.violations),
+        f"migrate: {len(summary.violations)} invariant violation(s) "
+        f"across {summary.points_explored} points")
 
 
 def _profile_table(result) -> Table:
@@ -800,6 +325,19 @@ def _profile_table(result) -> Table:
                       round(bucket["tottime"], 4),
                       round(bucket["cumtime"], 4))
     return table
+
+
+def _perf_cmd(args) -> int:
+    """``python -m repro perf <target>`` — one view over its sweep."""
+    view = PERF_TARGETS[args.target]
+    result = _run_named_sweep(args, view.sweep, keep=view.keeps)
+    state = view_state(args.target, view, result, args.media)
+    print(json.dumps(state, indent=2, sort_keys=True) if args.json
+          else render(state))
+    if result.failed:
+        print(format_table(result.failed_table()), file=sys.stderr)
+        return 1
+    return 0
 
 
 def _sweep_cmd(args) -> int:
@@ -867,12 +405,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="perf target (with 'perf') or sweep name "
                              "(with 'sweep')")
     parser.add_argument("--json", action="store_true",
-                        help="emit machine-readable JSON (perf only)")
+                        help="emit machine-readable JSON (with 'perf', "
+                             "'crash', 'faults' or 'migrate')")
     parser.add_argument("--ops", type=int, default=400,
                         help="operation/file/request count")
     parser.add_argument("--size", type=int, default=32 << 10,
                         help="file size in bytes where applicable")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="reader threads (with 'ephemeral'; sweeps "
+                             "and perf carry thread counts per point)")
     parser.add_argument("--device", type=int, default=4,
                         help="device size in GiB")
     parser.add_argument("--fresh", action="store_true",
@@ -890,9 +431,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="NUMA sockets (1 = uniform machine)")
     parser.add_argument("--policy", choices=PLACEMENTS, default="local",
                         help="file/device placement relative to "
-                             "--pin-node (multi-socket only)")
+                             "--pin-node (multi-socket only; with the "
+                             "experiments that build one machine and the "
+                             "crash/faults/migrate replicas, not sweeps "
+                             "or perf)")
     parser.add_argument("--pin-node", type=int, default=0,
-                        help="socket the placement is defined against")
+                        help="socket the placement is defined against "
+                             "(same commands as --policy)")
     parser.add_argument("--node-kinds", default=None,
                         help="comma list of memory-node kinds (ddr, "
                              "cxl, far), e.g. 'ddr,cxl' adds a CXL "
@@ -907,19 +452,18 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("syncbench", "kvstore", "readbench"),
                         default="syncbench",
                         help="crash/fault workload (with 'crash' or "
-                             "'faults'; 'readbench' is faults-only)")
+                             "'faults' only; 'readbench' is faults-only)")
     parser.add_argument("--seed", type=int, default=0,
                         help="crash/fault sampling seed (also seeds "
                              "sweep retry backoff)")
     parser.add_argument("--max-points", type=int, default=64,
-                        help="crash points to explore (with 'crash'); "
-                             "with 'sweep', run only the first N points "
-                             "of the manifest (CI smoke)")
+                        help="crash points to explore (with 'crash' or "
+                             "'migrate'); with 'sweep' or 'perf', run "
+                             "only the first N points of the manifest "
+                             "(CI smoke)")
     parser.add_argument("--max-sites", type=int, default=64,
-                        help="fault sites to arm (with 'faults')")
-    parser.add_argument("--tenants", type=int, default=8,
-                        help="tenant count for 'perf consolidate' "
-                             "(knee runs 1..N, breakdown at N)")
+                        help="fault sites to arm (with 'faults' or "
+                             "'migrate')")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for sweep execution")
     parser.add_argument("--point-timeout", type=float, default=None,
@@ -955,8 +499,8 @@ def main(argv=None) -> int:
     if args.experiment == "list":
         for name, fn in sorted(EXPERIMENTS.items()):
             print(f"{name:<12} {fn.help_text}")
-        for name, fn in sorted(PERF_TARGETS.items()):
-            print(f"perf {name:<7} {fn.help_text}")
+        for name, view in sorted(PERF_TARGETS.items()):
+            print(f"perf {name:<7} {view.help_text}")
         for name, fn in sorted(SWEEPS.items()):
             print(f"sweep {name:<6} {fn.help_text}")
         return 0
@@ -965,8 +509,7 @@ def main(argv=None) -> int:
             print("perf needs a target: " + ", ".join(sorted(PERF_TARGETS)),
                   file=sys.stderr)
             return 2
-        PERF_TARGETS[args.target](args)
-        return 0
+        return _perf_cmd(args)
     if args.experiment == "sweep":
         if args.target is None or args.target not in SWEEPS:
             print("sweep needs a name: " + ", ".join(sorted(SWEEPS)),

@@ -21,7 +21,9 @@ from repro.faults import FaultPlan, MediaFaults
 from repro.machine import MachineSpec
 from repro.obs import CostDomain
 from repro.runner.manifest import SweepPoint
+from repro.runner.pool import run_sweep
 from repro.runner.sweeps import POINT_RUNNERS, build_sweep
+from repro.runner.views import PERF_TARGETS, view_state
 from repro.runner.worker import (_reset_naming_counters, build_system,
                                  run_point, system_state)
 from repro.tenancy.runtime import _run_untenanted
@@ -226,6 +228,24 @@ def tenancy(variant: str) -> States:
                 else _passive_state)
     return {point.label: state_of(point)
             for _, point in _pinned_points(pinned)}
+
+
+@_golden("perf_views.json")
+def perf(variant: str) -> States:
+    """The ``perf`` JSON shape, every target at the CI smoke budget.
+
+    Each entry is what ``python -m repro perf <target> --ops 8
+    --device 1 --json`` prints: the target's kept points of its sweep,
+    run through ``run_sweep`` and read by its view's columns.  A
+    column, panel or kept point that moves shows up here by name.
+    """
+    base = MachineSpec(device_gib=1, aged=True)
+    out: Dict[str, object] = {}
+    for name, view in PERF_TARGETS.items():
+        sweep = build_sweep(view.sweep, ops=8, size=32 << 10, base=base,
+                            keep=view.keeps)
+        out[name] = view_state(name, view, run_sweep(sweep), base.media)
+    return out
 
 
 # -- non-sweep state shapes --------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List
 
 from repro.analysis.results import RunResult
@@ -153,17 +153,7 @@ def result_state(run: RunResult, stats: Stats, ledger: Ledger,
                  wall_seconds: float) -> Dict[str, object]:
     """Serialise one point's outcome for the pool / cache boundary."""
     return {
-        "run": {
-            "label": run.label,
-            "cycles": run.cycles,
-            "operations": run.operations,
-            "bytes_processed": run.bytes_processed,
-            "counters": dict(run.counters),
-            "domains": dict(run.domains),
-            "percentiles": {k: dict(v)
-                            for k, v in run.percentiles.items()},
-            "freq_hz": run.freq_hz,
-        },
+        "run": asdict(run),
         "stats": stats.to_state(),
         "ledger": ledger.to_state(),
         "locks": [dict(rep) for rep in locks],

@@ -21,6 +21,8 @@ from repro.system import System
 from repro.topology import PLACEMENTS
 from repro.workloads import (
     ApacheConfig,
+    AppendConfig,
+    AppendVariant,
     DaxVMOptions,
     EphemeralConfig,
     Interface,
@@ -30,6 +32,7 @@ from repro.workloads import (
     SyncDiscipline,
     YCSBConfig,
     run_apache,
+    run_append,
     run_ephemeral,
     run_sync,
     run_ycsb,
@@ -89,6 +92,14 @@ def _apache_point(system: System, *, num_workers: int, requests: int,
                        daxvm=_daxvm_options(daxvm),
                        batch_pages=batch_pages)
     return run_apache(system, cfg)
+
+
+@point_runner("append")
+def _append_point(system: System, *, append_size: int, num_appends: int,
+                  variant: str) -> RunResult:
+    cfg = AppendConfig(append_size=append_size, num_appends=num_appends,
+                       variant=AppendVariant(variant))
+    return run_append(system, cfg)
 
 
 @point_runner("crash")
@@ -218,6 +229,34 @@ def _apache_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
                  points=points, axis="cores")
 
 
+#: Append sizes on the appends sweep's x axis (KB), Fig. 7's range.
+APPEND_SIZES_KB = (4, 64, 256, 1024, 4096)
+
+
+@sweep("appends", "append size x interface x file system (fig 7)")
+def _appends_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
+    """Single-op appends onto empty files, every append variant on
+    ext4-DAX and NOVA (series ``<fs>:<variant>``, x = append KB).
+    ``ops`` sets appends per point (``ops // 8``, at least 8);
+    ``size`` is ignored: the append size is the axis."""
+    num_appends = max(8, ops // 8)
+    points = []
+    for fs in ("ext4", "nova"):
+        machine = replace(base, fs=fs)
+        for kb in APPEND_SIZES_KB:
+            for variant in AppendVariant:
+                points.append(SweepPoint(
+                    experiment="append", series=f"{fs}:{variant.value}",
+                    x=kb,
+                    params={"append_size": kb << 10,
+                            "num_appends": num_appends,
+                            "variant": variant.value},
+                    machine=machine))
+    return Sweep(name="appends",
+                 title="Append throughput (Kops/s)",
+                 points=points, axis="KB")
+
+
 @sweep("ablations", "incremental DaxVM mechanisms at 16 cores (§V-C)")
 def _ablations_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
     workers = 16
@@ -248,45 +287,37 @@ def _ablations_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
                  points=points, axis="cores")
 
 
+def _audit_sweep(name: str, title: str, workloads, seeds, budget: dict,
+                 base: MachineSpec) -> Sweep:
+    """``workloads`` x ``seeds`` audit points on a fresh image (every
+    point rebuilds the machine per replica; aging churn adds nothing
+    to durability or poison-handling coverage)."""
+    fresh = replace(base, aged=False)
+    return Sweep(name=name, title=title, axis="seed", points=[
+        SweepPoint(experiment=name, series=workload, x=seed,
+                   params={"workload": workload, "seed": seed, **budget},
+                   machine=fresh)
+        for workload in workloads for seed in seeds])
+
+
 @sweep("crash", "crash-point injection + recovery audit per workload")
 def _crash_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
     """Both crash workloads at three seeds each.  ``ops`` bounds the
     crash points explored per sweep point (every point is a full
-    machine replay, so the budget matters).  ``base.aged`` is
-    deliberately ignored: replicas always start from fresh images."""
-    max_points = max(4, min(ops, 48))
-    fresh = replace(base, aged=False)
-    points = []
-    for workload in ("syncbench", "kvstore"):
-        for seed in (0, 1, 2):
-            points.append(SweepPoint(
-                experiment="crash", series=workload, x=seed,
-                params={"workload": workload, "seed": seed,
-                        "max_points": max_points},
-                machine=fresh))
-    return Sweep(name="crash",
-                 title="Crash recovery audit (points explored)",
-                 points=points, axis="seed")
+    machine replay, so the budget matters)."""
+    return _audit_sweep("crash", "Crash recovery audit (points explored)",
+                        ("syncbench", "kvstore"), (0, 1, 2),
+                        {"max_points": max(4, min(ops, 48))}, base)
 
 
 @sweep("faults", "media-fault injection + poison-handling audit")
 def _faults_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
     """Every fault workload at two seeds.  ``ops`` bounds the armed
-    sites per sweep point (each site is a full machine replica).
-    ``base.aged`` is deliberately ignored: replicas start fresh."""
-    max_sites = max(4, min(ops, 64))
-    fresh = replace(base, aged=False)
-    points = []
-    for workload in ("syncbench", "kvstore", "readbench"):
-        for seed in (0, 1):
-            points.append(SweepPoint(
-                experiment="faults", series=workload, x=seed,
-                params={"workload": workload, "seed": seed,
-                        "max_sites": max_sites},
-                machine=fresh))
-    return Sweep(name="faults",
-                 title="Media-fault handling audit (sites explored)",
-                 points=points, axis="seed")
+    sites per sweep point (each site is a full machine replica)."""
+    return _audit_sweep("faults",
+                        "Media-fault handling audit (sites explored)",
+                        ("syncbench", "kvstore", "readbench"), (0, 1),
+                        {"max_sites": max(4, min(ops, 64))}, base)
 
 
 @sweep("selftest", "runner fault-isolation diagnostics (ok/crash/hang)")
@@ -306,6 +337,15 @@ def _selftest_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
                  points=points, axis="slot")
 
 
+def _syncbench_params(ops: int, size: int) -> dict:
+    """DaxVM syncbench over a file floored at 4 MB, so its file table
+    goes persistent and walks pay PMem leaves; ``ops`` sync rounds
+    (8 to 64)."""
+    return {"file_size": max(size, 4 << 20), "op_size": 1 << 10,
+            "ops_per_sync": 16, "num_syncs": max(8, min(ops, 64)),
+            "discipline": "daxvm+fsync"}
+
+
 @sweep("mmu", "four translation schemes x workload x clean/aged image")
 def _mmu_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
     """DaxVM under four MMUs (see repro.paging.schemes).
@@ -321,7 +361,6 @@ def _mmu_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
     """
     from repro.paging.schemes import SCHEME_NAMES
 
-    num_syncs = max(8, min(ops, 64))
     kv_ops = max(160, min(ops * 20, 3200))
     points = []
     for scheme in SCHEME_NAMES:
@@ -330,11 +369,7 @@ def _mmu_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
             machine = replace(base, aged=aged_image, scheme=scheme)
             points.append(SweepPoint(
                 experiment="syncbench", series=f"syncbench+{scheme}",
-                x=x,
-                params={"file_size": max(size, 4 << 20),
-                        "op_size": 1 << 10, "ops_per_sync": 16,
-                        "num_syncs": num_syncs,
-                        "discipline": "daxvm+fsync"},
+                x=x, params=_syncbench_params(ops, size),
                 machine=machine))
             points.append(SweepPoint(
                 experiment="kvstore", series=f"kvstore+{scheme}",
@@ -395,7 +430,6 @@ def _tiering_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
     from repro.tiering import TieringConfig
 
     ktierd = TieringConfig(scan_interval=5e5, hot_touches=1, cold_scans=4)
-    num_syncs = max(8, min(ops, 64))
     points = []
     for x, tier in enumerate(TIERING_TIERS):
         nodes = ("ddr", "cxl") if tier == "cxl" else base.nodes
@@ -415,11 +449,7 @@ def _tiering_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
                     machine=machine))
             points.append(SweepPoint(
                 experiment="syncbench", series=f"syncbench{suffix}",
-                x=x,
-                params={"file_size": max(size, 4 << 20),
-                        "op_size": 1 << 10, "ops_per_sync": 16,
-                        "num_syncs": num_syncs,
-                        "discipline": "daxvm+fsync"},
+                x=x, params=_syncbench_params(ops, size),
                 machine=machine))
     return Sweep(name="tiering",
                  title="Interfaces across data tiers (Kops/s)",
@@ -494,7 +524,9 @@ def _migrate_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
     """Downtime and pull traffic vs when the migration triggers, with
     and without the prefetch kthread, for both guest workloads.  The
     ``base`` series (x = 0) is the nested-but-never-migrated guest —
-    the cost floor every migrating point is compared against.  ``ops``
+    the cost floor every migrating point is compared against; the
+    ``degraded`` series forces the source into degraded mode, so its
+    migration aborts and the guest serves accesses degraded.  ``ops``
     and ``size`` are deliberately ignored: guest workloads are the
     pinned crash workloads, so points stay byte-comparable across
     budget knobs."""
@@ -517,16 +549,29 @@ def _migrate_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
                     machine=replace(fresh, virt=VirtConfig(
                         nested=True, migrate=True, migrate_after=after,
                         prefetch=prefetch, seed=0))))
+    # Appended last so --max-points smokes keep the points above.
+    for workload in ("syncbench", "kvstore"):
+        points.append(SweepPoint(
+            experiment="migrate", series=f"{workload}+degraded",
+            x=MIGRATE_AFTER[1], params={"workload": workload},
+            machine=replace(fresh, virt=VirtConfig(
+                nested=True, migrate=True, migrate_after=MIGRATE_AFTER[1],
+                force_degraded=True, seed=0))))
     return Sweep(name="migrate",
                  title="Post-copy migration: downtime and pull traffic",
                  points=points, axis="migrate_after")
 
 
-def build_sweep(name: str, *, ops: int, size: int,
-                base: MachineSpec) -> Sweep:
+def build_sweep(name: str, *, ops: int, size: int, base: MachineSpec,
+                keep: Optional[Callable[[SweepPoint], bool]] = None
+                ) -> Sweep:
     """Expand a named sweep with the given CLI-level knobs on machines
-    derived from ``base``."""
+    derived from ``base``, keeping the points ``keep`` accepts (all by
+    default)."""
     builder = SWEEPS.get(name)
     if builder is None:
         raise KeyError(f"unknown sweep {name!r}; known: {sorted(SWEEPS)}")
-    return builder(ops=ops, size=size, base=base)
+    sweep = builder(ops=ops, size=size, base=base)
+    if keep is not None:
+        sweep.points = [p for p in sweep.points if keep(p)]
+    return sweep

@@ -4,8 +4,10 @@
 registry (exact thread-name match — ``t1.worker`` never bleeds into a
 ``t10`` view), the enforcement objects from
 :mod:`repro.tenancy.controller`, per-tenant request-latency
-histograms (``tenant.<name>.request`` in ``stats.timings``) and the
-per-tenant ledger views that make mmap_sem and TLB-shootdown
+histograms (``tenant.<name>.request`` in ``stats.timings``).  Tenant
+threads are named ``<tenant>.<role>``, so the ledger's per-thread
+split groups per tenant (the ``run_total:tenant/...`` columns of
+:mod:`repro.runner.views`), making mmap_sem and TLB-shootdown
 contention attributable to the tenant that suffered it.
 
 :func:`run_consolidate` is the driver the ``consolidate`` sweep and
@@ -171,20 +173,6 @@ class TenancyRuntime:
         cycles = mean * (0.5 + rng.random())
         self.system.stats.add(Counter.TENANCY_THINK_CYCLES, cycles)
         yield charge(CostDomain.TENANCY, "think", cycles)
-
-    # -- per-tenant books ----------------------------------------------------
-    def ledger_view(self, tenant: str) -> Dict[str, float]:
-        """This tenant's cycles by cost domain (its threads only)."""
-        view: Dict[str, float] = {}
-        for thread_name, domains in self.system.ledger.per_thread().items():
-            if self.thread_names.get(thread_name) != tenant:
-                continue
-            for domain, cycles in domains.items():
-                view[domain] = view.get(domain, 0.0) + cycles
-        return view
-
-    def ledger_views(self) -> Dict[str, Dict[str, float]]:
-        return {name: self.ledger_view(name) for name in self.tenants}
 
     def publish(self) -> None:
         """Fold enforcement totals into the counters (end of run)."""

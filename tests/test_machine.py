@@ -5,9 +5,14 @@ descriptor, and for the CLI paths that build through it.
 * equal specs build machines that run to the same bytes;
 * the crash/fault replica factories honour the machine flags (the
   ``--scheme`` of ``python -m repro crash`` reaches every replica);
-* each rewired CLI path runs end to end with ``--json``.
+* each rewired CLI path runs end to end with ``--json``;
+* every ``perf`` target's JSON is the same at ``--jobs 1`` and
+  ``--jobs 2``, and its domain columns read the row's measured phase.
 """
 
+import contextlib
+import functools
+import io
 import json
 from dataclasses import fields, replace
 
@@ -17,7 +22,7 @@ from hypothesis import strategies as st
 
 import repro.crash
 import repro.faults
-from repro.cli import main
+from repro.cli import PERF_TARGETS, main
 from repro.config import MEDIA_PRESETS
 from repro.errors import InvalidArgumentError
 from repro.machine import MachineSpec
@@ -174,11 +179,6 @@ _TINY = ["--device", "1", "--ops", "8", "--json"]
 
 
 @pytest.mark.parametrize("argv", [
-    ["perf", "numa"],
-    ["perf", "mmu"],
-    ["perf", "tiering"],
-    ["perf", "consolidate", "--tenants", "2"],
-    ["perf", "migrate"],
     ["crash", "--max-points", "4"],
     ["faults", "--max-sites", "4"],
     ["migrate", "--max-points", "2", "--max-sites", "2"],
@@ -186,3 +186,40 @@ _TINY = ["--device", "1", "--ops", "8", "--json"]
 def test_cli_json_paths_run(capsys, argv):
     assert main(argv + _TINY) == 0
     assert json.loads(capsys.readouterr().out)
+
+
+# -- perf targets: views over registered sweeps ------------------------------
+@functools.lru_cache(maxsize=None)
+def _perf_json(target, jobs):
+    """``perf <target> --json`` at the CI smoke budget (run once per
+    argument pair; both perf tests read it)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["perf", target, "--jobs", str(jobs), "--no-cache"]
+                    + _TINY) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("target", sorted(PERF_TARGETS))
+def test_perf_json_jobs_invariant(target):
+    serial = _perf_json(target, 1)
+    assert _perf_json(target, 2) == serial
+    state = json.loads(serial)
+    assert state["target"] == target
+    assert all(panel["rows"] for panel in state["panels"])
+
+
+@pytest.mark.parametrize("target", sorted(PERF_TARGETS))
+def test_perf_domain_columns_match_row_domains(target):
+    """One phase per row: a domain column is the row's own measured
+    ``domains`` entry, never a whole-run ledger total."""
+    state = json.loads(_perf_json(target, 1))
+    checked = 0
+    for panel in state["panels"]:
+        for row in panel["rows"]:
+            for key, value in row.items():
+                if key.startswith("domain:"):
+                    assert value == row["domains"].get(
+                        key[len("domain:"):], 0.0), (key, row["series"])
+                    checked += 1
+    assert checked
