@@ -6,6 +6,11 @@ series the paper reports, and asserts the *shape* (who wins, by
 roughly what factor, where crossovers fall).  Absolute numbers are the
 simulator's, not the authors' testbed's — see EXPERIMENTS.md.
 
+Paper figures run as registered sweeps (:mod:`repro.runner.sweeps`)
+through :func:`sweep_runs`: the benchmark holds only the figure's
+budget, its printout and its shape assertions, and the CLI's
+``python -m repro sweep <name>`` reads the same definition.
+
 The pytest-benchmark fixture wraps each experiment in a single
 ``pedantic`` round so `pytest benchmarks/ --benchmark-only` also
 records the (Python) runtime of regenerating each artifact.
@@ -19,6 +24,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.machine import MachineSpec
+from repro.runner import ResultCache, build_sweep, run_sweep
 from repro.runner.cache import TELEMETRY
 from repro.sim.stats import Stats
 from repro.system import System
@@ -35,12 +42,18 @@ def once(benchmark, fn):
     return benchmark.pedantic(fn, rounds=1, iterations=1)
 
 
-def fresh_system(device_bytes=4 << 30, **kw) -> System:
-    return System(device_bytes=device_bytes, **kw)
+def sweep_runs(name, *, ops, base, size=0, keep=None):
+    """Run the registered sweep ``name`` (the points ``keep`` accepts)
+    on two worker processes through the default result cache, as
+    ``{(series, x): PointResult}``."""
+    sweep = build_sweep(name, ops=ops, size=size, base=base, keep=keep)
+    result = run_sweep(sweep, jobs=2, cache=ResultCache())
+    assert not result.failed, result.failed
+    return {(pr.point.series, pr.point.x): pr for pr in result.points}
 
 
-def aged_system(device_bytes=4 << 30, **kw) -> System:
-    return System(device_bytes=device_bytes, aged=True, **kw)
+#: The paper's testbed image: an aged 4 GiB ext4-DAX device.
+AGED = MachineSpec(device_gib=4, aged=True)
 
 
 @pytest.fixture(autouse=True)

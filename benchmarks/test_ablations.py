@@ -1,9 +1,9 @@
 """§V-C ablations: unmap batching level, pre-zero throttle, table
 migration."""
 
-from conftest import aged_system, once
+from conftest import AGED, once
 
-from repro.system import System
+from repro.machine import MachineSpec
 from repro.workloads import (
     ApacheConfig,
     DaxVMOptions,
@@ -21,7 +21,7 @@ def test_batch_level_ablation(benchmark):
     ~20 % — at the price of a longer vulnerability window."""
 
     def run_with(batch):
-        system = aged_system()
+        system = AGED.build()
         cfg = ApacheConfig(num_workers=16, requests=2400,
                            interface=ServerInterface.DAXVM,
                            daxvm=DaxVMOptions.full(), batch_pages=batch)
@@ -46,7 +46,7 @@ def test_prezero_throttle_interference(benchmark):
     foreground ~5-10 %."""
 
     def run_load(concurrent_zeroing):
-        system = System(device_bytes=6 << 30, aged=True)
+        system = MachineSpec(device_gib=6, aged=True).build()
         kv = KVConfig(interface=Interface.DAXVM,
                       daxvm=DaxVMOptions(ephemeral=False,
                                          unmap_async=False,
@@ -89,7 +89,7 @@ def test_filetable_policy_ablation(benchmark):
     from repro.workloads import EphemeralConfig, Interface, run_ephemeral
 
     def run_policy(volatile_max):
-        system = aged_system()
+        system = AGED.build()
         system.costs = system.costs.replace(
             filetable_volatile_max=volatile_max)
         system.fs.costs = system.costs
@@ -129,7 +129,7 @@ def test_migration_ablation(benchmark):
     from repro.workloads import RepetitiveConfig, run_repetitive
 
     def run_with(monitor_every):
-        system = aged_system()
+        system = AGED.build()
         cfg = RepetitiveConfig(
             file_size=128 << 20, op_size=4096, num_ops=32768,
             pattern=AccessPattern.RANDOM, interface=Interface.DAXVM,

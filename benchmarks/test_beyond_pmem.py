@@ -4,35 +4,26 @@ Not a numbered figure — the paper's discussion section argues DaxVM's
 mechanisms transfer to any byte-addressable storage (CXL
 memory-semantic SSDs) and matter even more as media approach DRAM.
 This bench runs the ephemeral microbenchmark on three media presets
-and checks both claims: the DaxVM-over-read advantage survives a slow
-CXL flash device, and *grows* on a near-DRAM NVM (where software is
-all that is left to optimise).
+(the ``media`` sweep) and checks both claims: the DaxVM-over-read
+advantage survives a slow CXL flash device, and *grows* on a near-DRAM
+NVM (where software is all that is left to optimise).
 """
 
-from conftest import once
+from conftest import AGED, once, sweep_runs
 
 from repro.analysis.results import Table
 from repro.analysis.report import format_table
 from repro.config import MEDIA_PRESETS
-from repro.system import System
-from repro.workloads import EphemeralConfig, Interface, run_ephemeral
-
-
-def _run(media, interface):
-    costs = MEDIA_PRESETS[media]()
-    system = System(costs=costs, device_bytes=4 << 30, aged=True)
-    cfg = EphemeralConfig(file_size=32 << 10, num_files=400,
-                          interface=interface)
-    return run_ephemeral(system, cfg)
 
 
 def test_beyond_pmem_media_sweep(benchmark):
     def experiment():
+        runs = sweep_runs("media", ops=400, size=32 << 10, base=AGED)
         out = {}
         for media in MEDIA_PRESETS:
-            read = _run(media, Interface.READ)
-            mmap = _run(media, Interface.MMAP)
-            daxvm = _run(media, Interface.DAXVM)
+            read, mmap, daxvm = (runs[(f"{media}:{interface}", 32)].run
+                                 for interface in ("read", "mmap",
+                                                   "daxvm"))
             out[media] = {
                 "read_us": read.latency_us,
                 "mmap_rel": mmap.mb_per_second / read.mb_per_second,

@@ -5,32 +5,14 @@ count (32 KB files), (c) repetitive 4 KB operations over a large file
 — all on an aged ext4-DAX image.
 """
 
-from conftest import aged_system, once
+from conftest import AGED, once, sweep_runs
 
 from repro.analysis.results import Series
 from repro.analysis.report import format_series
-from repro.paging.tlb import AccessPattern
-from repro.workloads import (
-    DaxVMOptions,
-    EphemeralConfig,
-    Interface,
-    RepetitiveConfig,
-    run_ephemeral,
-    run_repetitive,
-)
 
 SIZES = [4 << 10, 32 << 10, 128 << 10, 512 << 10, 2 << 20, 16 << 20,
          64 << 20]
-THREADS = [1, 2, 4, 8, 16]
-INTERFACES = [Interface.READ, Interface.MMAP, Interface.MMAP_POPULATE,
-              Interface.DAXVM]
-
-
-def _eph(interface, size, num_files, threads=1):
-    system = aged_system()
-    cfg = EphemeralConfig(file_size=size, num_files=num_files,
-                          num_threads=threads, interface=interface)
-    return run_ephemeral(system, cfg)
+INTERFACES = ["read", "mmap", "populate", "daxvm"]
 
 
 def test_fig1a_read_once_latency(benchmark):
@@ -38,21 +20,22 @@ def test_fig1a_read_once_latency(benchmark):
     everywhere."""
 
     def experiment():
-        series = {i: Series(i.value) for i in INTERFACES}
-        for size in SIZES:
-            budget = 256 << 20
-            n = max(3, min(300, budget // size))
+        kbs = [size >> 10 for size in SIZES]
+        runs = sweep_runs("ephemeral", ops=300, base=AGED,
+                          keep=lambda point: point.x in kbs)
+        series = {i: Series(i) for i in INTERFACES}
+        for kb in kbs:
             for interface in INTERFACES:
-                r = _eph(interface, size, n)
-                series[interface].add(size >> 10, r.latency_us)
+                series[interface].add(kb,
+                                      runs[(interface, kb)].run.latency_us)
         return series
 
     series = once(benchmark, experiment)
     print(format_series("Fig 1a: read-once latency (us/file)",
                         series.values(), x_label="KB"))
 
-    read, mmap = series[Interface.READ], series[Interface.MMAP]
-    daxvm = series[Interface.DAXVM]
+    read, mmap = series["read"], series["mmap"]
+    daxvm = series["daxvm"]
     # Small-files problem: mmap slower than read at 4-128 KB.
     for kb in (4, 32, 128):
         assert mmap.y_at(kb) > read.y_at(kb)
@@ -66,22 +49,18 @@ def test_fig1b_read_once_scalability(benchmark):
     """Fig. 1b: mmap collapses with threads; read and DaxVM scale."""
 
     def experiment():
-        series = {i: Series(i.value)
-                  for i in (Interface.READ, Interface.MMAP,
-                            Interface.DAXVM)}
-        for threads in THREADS:
-            for interface in series:
-                r = _eph(interface, 32 << 10, 1600, threads)
-                series[interface].add(threads,
-                                      r.ops_per_second / 1e3)
+        runs = sweep_runs("scaling", ops=1600, size=32 << 10, base=AGED)
+        series = {i: Series(i) for i in ("read", "mmap", "daxvm")}
+        for (interface, threads), pr in runs.items():
+            series[interface].add(threads, pr.run.ops_per_second / 1e3)
         return series
 
     series = once(benchmark, experiment)
     print(format_series("Fig 1b: 32KB read-once throughput (Kops/s)",
                         series.values(), x_label="threads"))
 
-    mmap, read = series[Interface.MMAP], series[Interface.READ]
-    daxvm = series[Interface.DAXVM]
+    mmap, read = series["mmap"], series["read"]
+    daxvm = series["daxvm"]
     # mmap peaks early (2-4 threads) then stops scaling and declines.
     assert max(mmap.ys()) == max(mmap.y_at(2), mmap.y_at(4))
     assert mmap.y_at(16) < max(mmap.ys())
@@ -97,23 +76,23 @@ def test_fig1c_repetitive_large_file(benchmark):
     """Fig. 1c: 4 KB ops over a big aged file — mmap can lose to
     syscalls; DaxVM restores the MM advantage."""
 
+    # Fig. 1c's read()/mmap cells are Fig. 5's 4 KB syscall/mmap ones;
+    # its DaxVM runs without the MMU monitor.
+    variants = {"read": "syscall", "mmap": "mmap", "daxvm": "daxvm-nomon"}
+
     def experiment():
+        runs = sweep_runs(
+            "repetitive", ops=96 << 10, base=AGED,
+            keep=lambda point: (point.x == 4096 and point.series.split(
+                ":")[-1] in variants.values()))
         out = {}
-        for pattern in (AccessPattern.SEQUENTIAL, AccessPattern.RANDOM):
+        for pattern in ("seq", "rand"):
             for write in (False, True):
-                for interface in (Interface.READ, Interface.MMAP,
-                                  Interface.DAXVM):
-                    system = aged_system()
-                    cfg = RepetitiveConfig(
-                        file_size=96 << 20, op_size=4096,
-                        num_ops=(96 << 20) // 4096, pattern=pattern,
-                        write=write, interface=interface,
-                        daxvm=DaxVMOptions(ephemeral=False,
-                                           unmap_async=False,
-                                           nosync=True))
-                    r = run_repetitive(system, cfg)
-                    out[(pattern.value, write, interface.value)] = \
-                        r.ops_per_second / 1e3
+                mode = "write" if write else "read"
+                for interface, variant in variants.items():
+                    run = runs[(f"{pattern}:{mode}:{variant}", 4096)].run
+                    out[(pattern, write, interface)] = \
+                        run.ops_per_second / 1e3
         return out
 
     out = once(benchmark, experiment)

@@ -6,43 +6,35 @@ DaxVM above read (up to ~1.5x) across the range and robust to
 fragmentation where baseline mmap's large-file throughput decays.
 """
 
-from conftest import aged_system, fresh_system, once
+from dataclasses import replace
+
+from conftest import AGED, once, sweep_runs
 
 from repro.analysis.results import Series
 from repro.analysis.report import format_series
-from repro.workloads import (
-    EphemeralConfig,
-    Interface,
-    run_ephemeral,
-)
 
 SIZES = [4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20,
          16 << 20, 64 << 20]
-INTERFACES = [Interface.READ, Interface.MMAP, Interface.MMAP_POPULATE,
-              Interface.DAXVM]
+INTERFACES = ["mmap", "populate", "daxvm"]
 
 
-def _run(interface, size, aged=True):
-    system = aged_system() if aged else fresh_system()
-    n = max(3, min(300, (256 << 20) // size))
-    cfg = EphemeralConfig(file_size=size, num_files=n,
-                          interface=interface)
-    return run_ephemeral(system, cfg)
+def _mb_per_second(base, kbs, interfaces):
+    """``{(interface, KB): MB/s}`` of the ephemeral sweep's cells."""
+    runs = sweep_runs("ephemeral", ops=300, base=base,
+                      keep=lambda point: (point.x in kbs
+                                          and point.series in interfaces))
+    return {key: pr.run.mb_per_second for key, pr in runs.items()}
 
 
 def test_fig4_relative_throughput(benchmark):
     def experiment():
-        rel = {i: Series(i.value) for i in INTERFACES if
-               i is not Interface.READ}
-        raw = {}
-        for size in SIZES:
-            read = _run(Interface.READ, size)
-            raw[size] = {"read": read.mb_per_second}
-            for interface in rel:
-                r = _run(interface, size)
-                raw[size][interface.value] = r.mb_per_second
-                rel[interface].add(size >> 10,
-                                   r.mb_per_second / read.mb_per_second)
+        kbs = [size >> 10 for size in SIZES]
+        mbs = _mb_per_second(AGED, kbs, ["read"] + INTERFACES)
+        rel = {i: Series(i) for i in INTERFACES}
+        for kb in kbs:
+            for interface in INTERFACES:
+                rel[interface].add(kb, mbs[(interface, kb)]
+                                   / mbs[("read", kb)])
         return rel
 
     rel = once(benchmark, experiment)
@@ -50,9 +42,9 @@ def test_fig4_relative_throughput(benchmark):
         "Fig 4: ephemeral throughput relative to read (aged ext4)",
         rel.values(), x_label="KB"))
 
-    mmap = rel[Interface.MMAP]
-    populate = rel[Interface.MMAP_POPULATE]
-    daxvm = rel[Interface.DAXVM]
+    mmap = rel["mmap"]
+    populate = rel["populate"]
+    daxvm = rel["daxvm"]
     # Small files: mmap below read (the small-files problem).
     for kb in (4, 16, 64):
         assert mmap.y_at(kb) < 1.0
@@ -73,14 +65,14 @@ def test_fig4_daxvm_robust_to_fragmentation(benchmark):
     erodes on the aged image, DaxVM's does not."""
 
     def experiment():
-        size = 16 << 20
+        kb = 16 << 10
         out = {}
         for aged in (False, True):
-            read = _run(Interface.READ, size, aged)
-            mmap = _run(Interface.MMAP, size, aged)
-            daxvm = _run(Interface.DAXVM, size, aged)
-            out[aged] = (mmap.mb_per_second / read.mb_per_second,
-                         daxvm.mb_per_second / read.mb_per_second)
+            mbs = _mb_per_second(replace(AGED, aged=aged), [kb],
+                                 ["read", "mmap", "daxvm"])
+            read = mbs[("read", kb)]
+            out[aged] = (mbs[("mmap", kb)] / read,
+                         mbs[("daxvm", kb)] / read)
         return out
 
     out = once(benchmark, experiment)

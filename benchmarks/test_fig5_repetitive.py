@@ -7,60 +7,31 @@ or above the syscalls (default mmap only ~11 % ahead sequentially); at
 syscalls by 1.3-3.9x and mmap by up to ~2x.
 """
 
-from conftest import aged_system, once
+from conftest import AGED, once, sweep_runs
 
 from repro.analysis.results import Table
 from repro.analysis.report import format_table
-from repro.paging.tlb import AccessPattern
-from repro.workloads import (
-    DaxVMOptions,
-    Interface,
-    RepetitiveConfig,
-    run_repetitive,
-)
 
-FILE_SIZE = 96 << 20
-VARIANTS = [
-    ("syscall", Interface.READ, None),
-    ("mmap", Interface.MMAP, None),
-    ("populate", Interface.MMAP_POPULATE, None),
-    ("daxvm", Interface.DAXVM,
-     DaxVMOptions(ephemeral=False, unmap_async=False, nosync=True)),
-]
-
-
-def _run(interface, opts, op_size, pattern, write):
-    system = aged_system()
-    cfg = RepetitiveConfig(
-        file_size=FILE_SIZE, op_size=op_size,
-        num_ops=FILE_SIZE // op_size, pattern=pattern, write=write,
-        interface=interface, monitor_every=8192,
-        daxvm=opts or DaxVMOptions(ephemeral=False, unmap_async=False))
-    return run_repetitive(system, cfg)
+VARIANTS = ["syscall", "mmap", "populate", "daxvm"]
 
 
 def test_fig5_repetitive_access(benchmark):
     def experiment():
-        out = {}
-        for op_size in (1024, 4096):
-            for pattern in (AccessPattern.SEQUENTIAL,
-                            AccessPattern.RANDOM):
-                for write in (False, True):
-                    for name, iface, opts in VARIANTS:
-                        r = _run(iface, opts, op_size, pattern, write)
-                        key = (op_size, pattern.value,
-                               "write" if write else "read", name)
-                        out[key] = r.ops_per_second / 1e3
-        return out
+        # One pass over the 96 MB file at both op sizes.
+        runs = sweep_runs("repetitive", ops=96 << 10, base=AGED,
+                          keep=lambda point: (point.series.split(
+                              ":")[-1] in VARIANTS))
+        return {(op_size, *series.split(":")): pr.run.ops_per_second / 1e3
+                for (series, op_size), pr in runs.items()}
 
     out = once(benchmark, experiment)
     table = Table("Fig 5: repetitive access (Kops/s)",
-                  ["op", "pattern", "mode"] + [v[0] for v in VARIANTS])
+                  ["op", "pattern", "mode"] + VARIANTS)
     for op_size in (1024, 4096):
         for pat in ("seq", "rand"):
             for mode in ("read", "write"):
                 table.add_row(op_size, pat, mode,
-                              *[out[(op_size, pat, mode, v[0])]
+                              *[out[(op_size, pat, mode, v)]
                                 for v in VARIANTS])
     print(format_table(table))
 
@@ -90,17 +61,11 @@ def test_fig5_monitor_migration_helps_random_access(benchmark):
     access (Table III policy in action)."""
 
     def experiment():
-        def run(monitor):
-            system = aged_system()
-            cfg = RepetitiveConfig(
-                file_size=64 << 20, op_size=4096, num_ops=16384,
-                pattern=AccessPattern.RANDOM, interface=Interface.DAXVM,
-                monitor_every=monitor,
-                daxvm=DaxVMOptions(ephemeral=False, unmap_async=False,
-                                   nosync=True))
-            return run_repetitive(system, cfg).ops_per_second
-
-        return run(0), run(2048)
+        runs = sweep_runs("repetitive", ops=96 << 10, base=AGED,
+                          keep=lambda point: point.series.startswith(
+                              "monitor:"))
+        return tuple(runs[(f"monitor:{monitor}", 4096)].run.ops_per_second
+                     for monitor in (0, 2048))
 
     without, with_monitor = once(benchmark, experiment)
     gain = with_monitor / without

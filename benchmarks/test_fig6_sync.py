@@ -12,34 +12,25 @@ the paper), syncing at varying intervals.  Paper shapes:
   outright (paper: up to +80 %).
 """
 
-from conftest import aged_system, once
+from conftest import AGED, once, sweep_runs
 
 from repro.analysis.results import Series
 from repro.analysis.report import format_series
-from repro.workloads import SyncConfig, SyncDiscipline, run_sync
-
-#: Sync interval in ops of 1 KB => interval bytes = 1 KB * ops.
-INTERVALS = [4, 64, 512, 2048, 8192]
-
-
-def _run(discipline, ops_per_sync):
-    system = aged_system()
-    cfg = SyncConfig(file_size=384 << 20, op_size=1 << 10,
-                     ops_per_sync=ops_per_sync,
-                     num_syncs=max(10, 2000 // ops_per_sync),
-                     discipline=discipline)
-    return run_sync(system, cfg)
+from repro.runner.sweeps import SYNC_INTERVALS
+from repro.workloads import SyncDiscipline
 
 
 def test_fig6_sync_disciplines(benchmark):
     def experiment():
+        # About 2000 1 KB writes per point, at least 10 syncs.
+        runs = sweep_runs("sync", ops=2000, base=AGED)
         series = {d: Series(d.value) for d in SyncDiscipline}
-        for k in INTERVALS:
-            base = _run(SyncDiscipline.WRITE_FSYNC, k).mb_per_second
+        for k in SYNC_INTERVALS:
+            base = runs[(SyncDiscipline.WRITE_FSYNC.value, k)]
             for d in SyncDiscipline:
-                r = _run(d, k) if d is not SyncDiscipline.WRITE_FSYNC \
-                    else None
-                value = r.mb_per_second / base if r else 1.0
+                value = (runs[(d.value, k)].run.mb_per_second
+                         / base.run.mb_per_second
+                         if d is not SyncDiscipline.WRITE_FSYNC else 1.0)
                 series[d].add(k, value)
         return series
 

@@ -10,12 +10,11 @@ Single-op appends of 4 KB - 4 MB onto empty files.  Paper shapes:
   by up to ~45 %.
 """
 
-from conftest import once
+from conftest import once, sweep_runs
 
 from repro.analysis.results import Table
 from repro.analysis.report import format_table
 from repro.machine import MachineSpec
-from repro.runner import build_sweep, run_sweep
 
 SIZES = [4 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20]
 
@@ -24,14 +23,12 @@ def _runs(fs_type, keep=lambda point: True):
     """The ``appends`` sweep's ``fs_type`` points that ``keep`` accepts
     (40 appends each on a fresh 4 GiB image), as
     ``{(size, variant): RunResult}``."""
-    sweep = build_sweep(
-        "appends", ops=320, size=0, base=MachineSpec(device_gib=4),
+    runs = sweep_runs(
+        "appends", ops=320, base=MachineSpec(device_gib=4),
         keep=lambda point: (point.series.startswith(f"{fs_type}:")
                             and keep(point)))
-    result = run_sweep(sweep, jobs=2)
-    assert not result.failed
-    return {(int(pr.point.x) << 10, pr.point.series.split(":", 1)[1]):
-            pr.run for pr in result.points}
+    return {(int(kb) << 10, series.split(":", 1)[1]): pr.run
+            for (series, kb), pr in runs.items()}
 
 
 def _sweep(fs_type):

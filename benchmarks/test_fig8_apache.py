@@ -6,48 +6,22 @@ and the LATR comparison.  (b) Relative throughput vs page size at 16
 cores, where read()'s extra copy grows with the page.
 """
 
-from conftest import aged_system, once
+from conftest import AGED, once, sweep_runs
 
 from repro.analysis.results import Series
 from repro.analysis.report import format_series
-from repro.workloads import (
-    ApacheConfig,
-    DaxVMOptions,
-    ServerInterface,
-    run_apache,
-)
+from repro.runner.sweeps import APACHE_BARS
 
-CORES = [1, 2, 4, 8, 16]
 REQUESTS = 2400
-
-BARS = [
-    ("read", ServerInterface.READ, None),
-    ("mmap", ServerInterface.MMAP, None),
-    ("populate", ServerInterface.MMAP_POPULATE, None),
-    ("latr", ServerInterface.MMAP_LATR, None),
-    ("mmap+async", ServerInterface.MMAP_ASYNC, None),
-    ("dax-tables", ServerInterface.DAXVM, DaxVMOptions.filetables_only()),
-    ("dax+eph", ServerInterface.DAXVM, DaxVMOptions.with_ephemeral()),
-    ("dax+eph+async", ServerInterface.DAXVM, DaxVMOptions.full()),
-]
-
-
-def _serve(interface, workers, opts=None, page_size=32 << 10,
-           requests=REQUESTS, **kw):
-    system = aged_system()
-    cfg = ApacheConfig(page_size=page_size, num_workers=workers,
-                       requests=requests, interface=interface,
-                       daxvm=opts or DaxVMOptions.full(), **kw)
-    return run_apache(system, cfg)
 
 
 def test_fig8a_scalability(benchmark):
     def experiment():
-        series = {name: Series(name) for name, _i, _o in BARS}
-        for cores in CORES:
-            for name, interface, opts in BARS:
-                r = _serve(interface, cores, opts)
-                series[name].add(cores, r.ops_per_second / 1e3)
+        runs = sweep_runs("apache-scaling", ops=REQUESTS, base=AGED,
+                          keep=lambda point: "+procs" not in point.series)
+        series = {name: Series(name) for name, _i, _o in APACHE_BARS}
+        for (name, cores), pr in runs.items():
+            series[name].add(cores, pr.run.ops_per_second / 1e3)
         return series
 
     series = once(benchmark, experiment)
@@ -81,19 +55,13 @@ def test_fig8b_webpage_size(benchmark):
     sizes = [4 << 10, 16 << 10, 32 << 10, 64 << 10]
 
     def experiment():
+        runs = sweep_runs("apache-pages", ops=REQUESTS, base=AGED)
         rel = {"mmap": Series("mmap"), "daxvm": Series("daxvm")}
         for size in sizes:
-            requests = max(400, min(2400, (64 << 20) // size))
-            read = _serve(ServerInterface.READ, 16, page_size=size,
-                          requests=requests)
-            mmap = _serve(ServerInterface.MMAP, 16, page_size=size,
-                          requests=requests)
-            daxvm = _serve(ServerInterface.DAXVM, 16, page_size=size,
-                           requests=requests)
-            rel["mmap"].add(size >> 10,
-                            mmap.ops_per_second / read.ops_per_second)
-            rel["daxvm"].add(size >> 10,
-                             daxvm.ops_per_second / read.ops_per_second)
+            kb = size >> 10
+            read = runs[("read", kb)].run.ops_per_second
+            for name, series in rel.items():
+                series.add(kb, runs[(name, kb)].run.ops_per_second / read)
         return rel
 
     rel = once(benchmark, experiment)
@@ -117,12 +85,12 @@ def test_fig8a_multiprocess_discussion(benchmark):
     the baseline, but DaxVM wins in both configurations."""
 
     def experiment():
-        mmap_mt = _serve(ServerInterface.MMAP, 8)
-        mmap_mp = _serve(ServerInterface.MMAP, 8, multiprocess=True)
-        dax_mp = _serve(ServerInterface.DAXVM, 8, multiprocess=True)
-        read = _serve(ServerInterface.READ, 8)
-        return (mmap_mt.ops_per_second, mmap_mp.ops_per_second,
-                dax_mp.ops_per_second, read.ops_per_second)
+        runs = sweep_runs("apache-scaling", ops=REQUESTS, base=AGED,
+                          keep=lambda point: point.x == 8 and point.series
+                          in ("mmap", "mmap+procs", "daxvm+procs", "read"))
+        return tuple(runs[(series, 8)].run.ops_per_second
+                     for series in ("mmap", "mmap+procs", "daxvm+procs",
+                                    "read"))
 
     mmap_mt, mmap_mp, dax_mp, read = once(benchmark, experiment)
     print(f"Apache 8 workers: mmap(threads)={mmap_mt/1e3:.0f}K "

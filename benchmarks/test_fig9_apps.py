@@ -1,49 +1,24 @@
 """Figure 9: text search, P-Redis boot, YCSB on Pmem-RocksDB."""
 
-from conftest import aged_system, once
+from dataclasses import replace
+
+from conftest import AGED, once, sweep_runs
 
 from repro.analysis.results import Series, Table
 from repro.analysis.report import format_series, format_table
-from repro.system import System
-from repro.workloads import (
-    DaxVMOptions,
-    Interface,
-    KVConfig,
-    PRedisConfig,
-    TextSearchConfig,
-    YCSBConfig,
-    run_predis,
-    run_textsearch,
-    run_ycsb,
-)
+from repro.runner.sweeps import YCSB_VARIANTS, YCSB_WORKLOADS
 
 
 # ---------------------------------------------------------------------------
 # Fig. 9a: ag over a Linux-tree-like file set.
 # ---------------------------------------------------------------------------
 def test_fig9a_text_search(benchmark):
-    threads_axis = [1, 2, 4, 8, 16]
-
-    def run_one(interface, threads, opts=None):
-        system = aged_system()
-        cfg = TextSearchConfig(num_files=1200, total_bytes=160 << 20,
-                               num_threads=threads, interface=interface,
-                               daxvm=opts or DaxVMOptions.full())
-        return run_textsearch(system, cfg)
-
     def experiment():
+        runs = sweep_runs("textsearch", ops=1200, base=AGED)
         series = {name: Series(name) for name in
                   ("read", "mmap", "daxvm", "daxvm-sync-unmap")}
-        for threads in threads_axis:
-            series["read"].add(threads, run_one(
-                Interface.READ, threads).mb_per_second)
-            series["mmap"].add(threads, run_one(
-                Interface.MMAP, threads).mb_per_second)
-            series["daxvm"].add(threads, run_one(
-                Interface.DAXVM, threads).mb_per_second)
-            series["daxvm-sync-unmap"].add(threads, run_one(
-                Interface.DAXVM, threads,
-                DaxVMOptions.with_ephemeral()).mb_per_second)
+        for (name, threads), pr in runs.items():
+            series[name].add(threads, pr.run.mb_per_second)
         return series
 
     series = once(benchmark, experiment)
@@ -64,87 +39,60 @@ def test_fig9a_text_search(benchmark):
 # Fig. 9b: P-Redis boot / warm-up timelines.
 # ---------------------------------------------------------------------------
 def test_fig9b_predis_boot(benchmark):
-    def run_one(interface):
-        system = aged_system()
-        cfg = PRedisConfig(cache_size=768 << 20, num_gets=50_000,
-                           window=2_500, interface=interface)
-        return run_predis(system, cfg)
-
     def experiment():
-        return {i: run_one(i) for i in (Interface.MMAP,
-                                        Interface.MMAP_POPULATE,
-                                        Interface.DAXVM)}
+        # 50k gets over a 768 MB cache, 20 throughput windows.
+        runs = sweep_runs("predis", ops=50_000, base=AGED)
+        return {series: (pr.run.counters["predis.boot_cycles"]
+                         / pr.run.freq_hz,
+                         pr.stats.series("predis.throughput"))
+                for (series, _mb), pr in runs.items()}
 
     results = once(benchmark, experiment)
     table = Table("Fig 9b: P-Redis boot and warm-up",
                   ["interface", "boot ms", "first-window Kops/s",
                    "last-window Kops/s"])
-    for interface, r in results.items():
-        first = r.timeline.points[0][1] / 1e3
-        last = r.timeline.points[-1][1] / 1e3
-        table.add_row(interface.value, r.boot_seconds * 1e3, first, last)
+    for interface, (boot, timeline) in results.items():
+        table.add_row(interface, boot * 1e3, timeline[0][1] / 1e3,
+                      timeline[-1][1] / 1e3)
     print(format_table(table))
 
-    lazy = results[Interface.MMAP]
-    populate = results[Interface.MMAP_POPULATE]
-    daxvm = results[Interface.DAXVM]
+    (lazy_boot, lazy), (populate_boot, populate), (daxvm_boot, daxvm) = (
+        results[name] for name in ("mmap", "populate", "daxvm"))
     # Lazy mmap: near-zero boot, slow climb through the warm-up.
-    assert lazy.boot_seconds < 0.001
-    assert lazy.timeline.points[-1][1] > 1.5 * lazy.timeline.points[0][1]
+    assert lazy_boot < 0.001
+    assert lazy[-1][1] > 1.5 * lazy[0][1]
     # Populate: boot stall (paper: ~10 s at full scale), then flat max.
-    assert populate.boot_seconds > 50 * lazy.boot_seconds
-    flat = populate.timeline.ys()
+    assert populate_boot > 50 * lazy_boot
+    flat = [v for _t, v in populate]
     assert max(flat) / min(flat) < 1.1
     # DaxVM: instant boot AND immediately high throughput.
-    assert daxvm.boot_seconds < 0.001
-    assert daxvm.timeline.points[0][1] > \
-        0.8 * populate.timeline.points[0][1]
+    assert daxvm_boot < 0.001
+    assert daxvm[0][1] > 0.8 * populate[0][1]
     # DaxVM reaches populate-level steady state (monitor migration).
-    assert daxvm.timeline.points[-1][1] > \
-        0.95 * populate.timeline.points[-1][1]
+    assert daxvm[-1][1] > 0.95 * populate[-1][1]
 
 
 # ---------------------------------------------------------------------------
 # Fig. 9c: YCSB over the Pmem-RocksDB model (aged ext4).
 # ---------------------------------------------------------------------------
-YCSB_VARIANTS = [
-    ("mmap", Interface.MMAP, None, False),
-    ("populate", Interface.MMAP_POPULATE, None, False),
-    ("daxvm", Interface.DAXVM,
-     DaxVMOptions(ephemeral=False, unmap_async=False), False),
-    ("daxvm+pz", Interface.DAXVM,
-     DaxVMOptions(ephemeral=False, unmap_async=False), True),
-    ("daxvm+pz+ns", Interface.DAXVM,
-     DaxVMOptions(ephemeral=False, unmap_async=False, nosync=True),
-     True),
-]
-WORKLOADS = ["load_a", "load_e", "run_a", "run_b", "run_c", "run_d",
-             "run_e", "run_f"]
-
-
-def _ycsb(workload, interface, opts, prezero, fs_type="ext4"):
-    system = System(device_bytes=6 << 30, aged=True, fs_type=fs_type)
-    kv = KVConfig(interface=interface)
-    if opts is not None:
-        kv = KVConfig(interface=interface, daxvm=opts)
-    cfg = YCSBConfig(workload=workload, num_ops=10_000,
-                     preload_records=10_000, kv=kv, prezero=prezero)
-    return run_ycsb(system, cfg)
+def _ycsb(fs_type, keep):
+    """``{(workload, variant): ops/s}`` of the ycsb sweep's
+    ``fs_type`` cells that ``keep`` accepts (10k preloaded records,
+    10k ops, aged 6 GiB image)."""
+    runs = sweep_runs(
+        "ycsb", ops=10_000, base=replace(AGED, device_gib=6),
+        keep=lambda point: (point.series.startswith(f"{fs_type}:")
+                            and keep(point)))
+    return {(YCSB_WORKLOADS[x], series.split(":", 1)[1]):
+            pr.run.ops_per_second for (series, x), pr in runs.items()}
 
 
 def test_fig9c_ycsb_ext4(benchmark):
-    def experiment():
-        out = {}
-        for workload in WORKLOADS:
-            for name, iface, opts, pz in YCSB_VARIANTS:
-                r = _ycsb(workload, iface, opts, pz)
-                out[(workload, name)] = r.ops_per_second / 1e3
-        return out
-
-    out = once(benchmark, experiment)
+    runs = once(benchmark, lambda: _ycsb("ext4", lambda point: True))
+    out = {key: ops / 1e3 for key, ops in runs.items()}
     table = Table("Fig 9c: YCSB on Pmem-RocksDB, aged ext4 (Kops/s)",
                   ["workload"] + [v[0] for v in YCSB_VARIANTS])
-    for workload in WORKLOADS:
+    for workload in YCSB_WORKLOADS:
         table.add_row(workload, *[out[(workload, v[0])]
                                   for v in YCSB_VARIANTS])
     print(format_table(table))
@@ -173,13 +121,7 @@ def test_fig9c_nova_comparison(benchmark):
     ~35 % on the loads and ~10 % elsewhere."""
 
     def experiment():
-        out = {}
-        for workload in ("load_a", "run_b"):
-            for name, iface, opts, pz in YCSB_VARIANTS[:1] + \
-                    YCSB_VARIANTS[4:]:
-                r = _ycsb(workload, iface, opts, pz, fs_type="nova")
-                out[(workload, name)] = r.ops_per_second
-        return out
+        return _ycsb("nova", lambda point: True)
 
     out = once(benchmark, experiment)
     load_gain = out[("load_a", "daxvm+pz+ns")] / out[("load_a", "mmap")]
@@ -189,8 +131,7 @@ def test_fig9c_nova_comparison(benchmark):
     assert 1.05 < load_gain < 2.2
     assert 0.95 < run_gain < 1.6
     # The gain on NOVA is smaller than on ext4 (no MAP_SYNC commits).
-    ext4 = _ycsb("load_a", Interface.DAXVM,
-                 DaxVMOptions(ephemeral=False, unmap_async=False,
-                              nosync=True), True)
-    ext4_mmap = _ycsb("load_a", Interface.MMAP, None, False)
-    assert load_gain < ext4.ops_per_second / ext4_mmap.ops_per_second
+    ext4 = _ycsb("ext4", lambda point: point.x == 0 and point.series in
+                 ("ext4:mmap", "ext4:daxvm+pz+ns"))
+    assert load_gain < (ext4[("load_a", "daxvm+pz+ns")]
+                        / ext4[("load_a", "mmap")])

@@ -2,8 +2,9 @@
 plus §III's motivating measurements (msync fault blow-up, zeroing
 share)."""
 
-from conftest import fresh_system, once
+from conftest import once
 
+from repro.machine import MachineSpec
 from repro.vm.vma import MapFlags, Protection
 from repro.workloads import (
     AppendConfig,
@@ -20,7 +21,7 @@ def test_storage_overheads(benchmark):
     DRAM (scaled here)."""
 
     def experiment():
-        system = fresh_system()
+        system = MachineSpec(device_gib=4).build()
         manager = system.filetables
         # A Linux-tree-like set, scaled to 128 MB.
         sizes = linux_tree_sizes(1200, total_bytes=128 << 20)
@@ -55,7 +56,7 @@ def test_append_latency_overhead(benchmark):
 
     def experiment():
         def cost(size, tables):
-            system = fresh_system()
+            system = MachineSpec(device_gib=4).build()
             if tables:
                 system.filetables  # attach the manager's hooks
             cfg = AppendConfig(append_size=size, num_appends=60,
@@ -81,7 +82,7 @@ def test_msync_fault_blowup(benchmark):
     """§III-A4: one msync per 10 writes ~ 2.8x more faults."""
 
     def experiment():
-        system = fresh_system(device_bytes=2 << 30)
+        system = MachineSpec(device_gib=2).build()
         system.fs.allow_huge = False
         proc = system.new_process()
 
@@ -130,11 +131,11 @@ def test_zeroing_share_of_append(benchmark):
         shares = {}
         for size in (64 << 10, 512 << 10, 2 << 20):
             base = run_append(
-                fresh_system(),
+                MachineSpec(device_gib=4).build(),
                 AppendConfig(append_size=size, num_appends=30,
                              variant=AppendVariant.DAXVM)).latency_us
             nozero = run_append(
-                fresh_system(),
+                MachineSpec(device_gib=4).build(),
                 AppendConfig(append_size=size, num_appends=30,
                              variant=AppendVariant.DAXVM_PREZERO)
             ).latency_us

@@ -5,10 +5,11 @@ The paper's comparison table is qualitative; this bench renders it and
 implementation, so the row cannot rot.
 """
 
-from conftest import fresh_system, once
+from conftest import once
 
 from repro.analysis.results import Table
 from repro.analysis.report import format_table
+from repro.machine import MachineSpec
 from repro.mem.physmem import Medium
 from repro.vm.vma import MapFlags, Protection
 
@@ -49,7 +50,7 @@ def test_table1_daxvm_capabilities_execute(benchmark):
     """Run each claimed capability against the implementation."""
 
     def experiment():
-        system = fresh_system()
+        system = MachineSpec(device_gib=4).build()
         proc = system.new_process()
         dax = system.daxvm_for(proc)
         caps = {}

@@ -8,10 +8,11 @@ a repetitive workload over a DaxVM mapping with volatile vs persistent
 file tables.
 """
 
-from conftest import fresh_system, once
+from conftest import once
 
 from repro.analysis.results import Table
 from repro.analysis.report import format_table
+from repro.machine import MachineSpec
 from repro.paging.tlb import AccessPattern
 from repro.workloads import (
     DaxVMOptions,
@@ -25,7 +26,7 @@ PAPER = {("seq", "dram"): 28, ("rand", "dram"): 111,
 
 
 def _avg_walk(pattern, tables):
-    system = fresh_system()
+    system = MachineSpec(device_gib=4).build()
     system.fs.allow_huge = False  # 4 KB PTE walks, as in the paper
     cfg = RepetitiveConfig(
         file_size=64 << 20, op_size=4096, num_ops=16384,

@@ -6,10 +6,11 @@ The bench drives workloads that should and should not trigger the rule
 and checks the monitor's decisions.
 """
 
-from conftest import fresh_system, once
+from conftest import once
 
 from repro.analysis.results import Table
 from repro.analysis.report import format_table
+from repro.machine import MachineSpec
 from repro.paging.tlb import AccessPattern
 from repro.workloads import (
     DaxVMOptions,
@@ -21,7 +22,7 @@ from repro.workloads import (
 
 def _windowed(pattern):
     """Run one access phase and return (avg walk, overhead, fired)."""
-    system = fresh_system()
+    system = MachineSpec(device_gib=4).build()
     system.fs.allow_huge = False
     cfg = RepetitiveConfig(
         file_size=32 << 20, op_size=4096, num_ops=8192,

@@ -1,8 +1,12 @@
-"""Command-line interface: ``python -m repro <experiment>``.
+"""Command-line interface: ``python -m repro <command>``.
 
-Runs compact versions of the paper's experiments without pytest — for
-exploring the simulator interactively.  ``python -m repro list`` shows
-the registry; the full-scale regenerations live in ``benchmarks/``.
+Every paper figure is a registered sweep (:mod:`repro.runner.sweeps`):
+``python -m repro sweep <name>`` runs it with the budget flags, fanned
+across worker processes and cached, from the same definition the
+figure benchmarks in ``benchmarks/`` assert shapes over.  ``perf
+<target>`` prints instrumentation breakdowns over a sweep's points;
+``crash``, ``faults`` and ``migrate`` are the replica audits.
+``python -m repro list`` shows every entry.
 """
 
 from __future__ import annotations
@@ -10,13 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from typing import Callable, Dict
 
-from repro.analysis.report import format_series, format_sweep, format_table
+from repro.analysis.report import format_sweep, format_table
 from repro.analysis.results import Table
 from repro.config import MEDIA_PRESETS
-from repro.topology import PLACEMENTS
+from repro.machine import MachineSpec
+from repro.paging.schemes import SCHEME_NAMES
 from repro.runner import (
     DEFAULT_CACHE_DIR,
     ResultCache,
@@ -24,23 +28,9 @@ from repro.runner import (
     build_sweep,
     run_sweep,
 )
+from repro.runner.manifest import Sweep
 from repro.runner.views import PERF_TARGETS, render, view_state
-from repro.paging.schemes import SCHEME_NAMES
-from repro.paging.tlb import AccessPattern
-from repro.machine import MachineSpec
-from repro.workloads import (
-    DaxVMOptions,
-    EphemeralConfig,
-    Interface,
-    KVConfig,
-    PRedisConfig,
-    RepetitiveConfig,
-    YCSBConfig,
-    run_ephemeral,
-    run_predis,
-    run_repetitive,
-    run_ycsb,
-)
+from repro.topology import PLACEMENTS
 
 EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], None]] = {}
 
@@ -53,12 +43,40 @@ def experiment(name: str, help_text: str):
     return decorate
 
 
-def _machine(args) -> MachineSpec:
-    """The machine the global flags describe.
+def _cli_sweep(args, name: str, keep=None) -> Sweep:
+    """A registered sweep expanded with the CLI knobs, on the points
+    ``keep(point)`` accepts (all by default), cut to ``--max-points``.
 
-    ``--fs`` is left out: it reaches only the experiments that compare
-    file systems (ycsb and the replica audits); the rest pin ext4.
+    Sweeps take media, device size and age from the flags; every other
+    machine knob is a sweep axis or pinned per point.
     """
+    base = MachineSpec(media=args.media, device_gib=args.device,
+                       aged=not args.fresh)
+    sweep = build_sweep(name, ops=args.ops, size=args.size, base=base,
+                        keep=keep)
+    if args.max_points is not None and len(sweep.points) > args.max_points:
+        print(f"sweep: truncating {name} to the first {args.max_points} "
+              f"of {len(sweep.points)} points (--max-points)",
+              file=sys.stderr)
+        sweep.points = sweep.points[:args.max_points]
+    return sweep
+
+
+def _run_named_sweep(args, name: str, keep=None):
+    """Execute :func:`_cli_sweep` with the runner flags."""
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    return run_sweep(_cli_sweep(args, name, keep), jobs=args.jobs,
+                     cache=cache, point_timeout=args.point_timeout,
+                     max_retries=args.max_retries,
+                     retry_seed=args.seed,
+                     profile=getattr(args, "profile", False))
+
+
+def _replica(args) -> MachineSpec:
+    """The machine every crash/fault/migration replica is built from:
+    the flags' machine on a fresh image (each replica rebuilds the
+    machine from scratch, and aging churn adds nothing to durability
+    or poison-handling coverage)."""
     if args.node_kinds:
         nodes = tuple(k.strip() for k in args.node_kinds.split(",")
                       if k.strip())
@@ -72,154 +90,9 @@ def _machine(args) -> MachineSpec:
 
             ktierd = TieringConfig()
     return MachineSpec(media=args.media, device_gib=args.device,
-                       aged=not args.fresh, nodes=nodes,
+                       aged=False, fs=args.fs, nodes=nodes,
                        placement=args.policy, pin_node=args.pin_node,
                        scheme=args.scheme, tier=tier, ktierd=ktierd)
-
-
-@experiment("ephemeral", "read-once file access across interfaces")
-def _ephemeral(args):
-    table = Table(f"Ephemeral access, {args.size >> 10} KB files",
-                  ["interface", "us/file", "MB/s"])
-    for interface in (Interface.READ, Interface.MMAP,
-                      Interface.MMAP_POPULATE, Interface.DAXVM):
-        system = _machine(args).build()
-        cfg = EphemeralConfig(file_size=args.size, num_files=args.ops,
-                              num_threads=args.threads,
-                              interface=interface)
-        r = run_ephemeral(system, cfg)
-        table.add_row(interface.value, r.latency_us, r.mb_per_second)
-    print(format_table(table))
-
-
-def _run_named_sweep(args, name: str, keep=None):
-    """Build and execute a registered sweep with the CLI knobs, on the
-    points ``keep(point)`` accepts (all by default)."""
-    # Sweeps take media, device size and age from the flags; every
-    # other machine knob is a sweep axis or pinned per point.
-    base = MachineSpec(media=args.media, device_gib=args.device,
-                       aged=not args.fresh)
-    sweep = build_sweep(name, ops=args.ops, size=args.size, base=base,
-                        keep=keep)
-    if args.max_points is not None and len(sweep.points) > args.max_points:
-        print(f"sweep: truncating {name} to the first {args.max_points} "
-              f"of {len(sweep.points)} points (--max-points)",
-              file=sys.stderr)
-        sweep.points = sweep.points[:args.max_points]
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    return run_sweep(sweep, jobs=args.jobs, cache=cache,
-                     point_timeout=args.point_timeout,
-                     max_retries=args.max_retries,
-                     retry_seed=args.seed,
-                     profile=getattr(args, "profile", False))
-
-
-@experiment("scaling", "read-once throughput vs thread count (fig 1b)")
-def _scaling(args):
-    result = _run_named_sweep(args, "scaling")
-    print(format_series(result.sweep.title, result.series(),
-                        x_label=result.sweep.axis))
-
-
-@experiment("repetitive", "database-style 4KB ops over one big file")
-def _repetitive(args):
-    table = Table("Repetitive 4KB ops over a large file",
-                  ["interface", "pattern", "Kops/s"])
-    for pattern in (AccessPattern.SEQUENTIAL, AccessPattern.RANDOM):
-        for interface in (Interface.READ, Interface.MMAP,
-                          Interface.DAXVM):
-            system = _machine(args).build()
-            cfg = RepetitiveConfig(
-                file_size=96 << 20, op_size=4096,
-                num_ops=(96 << 20) // 4096, pattern=pattern,
-                interface=interface, monitor_every=8192,
-                daxvm=DaxVMOptions(ephemeral=False, unmap_async=False,
-                                   nosync=True))
-            r = run_repetitive(system, cfg)
-            table.add_row(interface.value, pattern.value,
-                          r.ops_per_second / 1e3)
-    print(format_table(table))
-
-
-@experiment("apache", "webserver scalability (fig 8a)")
-def _apache(args):
-    result = _run_named_sweep(args, "apache")
-    print(format_series(result.sweep.title, result.series(),
-                        x_label=result.sweep.axis))
-
-
-@experiment("ablations", "incremental DaxVM mechanisms at 16 cores")
-def _ablations(args):
-    result = _run_named_sweep(args, "ablations")
-    print(format_table(result.table()))
-
-
-@experiment("predis", "P-Redis boot and warm-up timeline (fig 9b)")
-def _predis(args):
-    for interface in (Interface.MMAP, Interface.MMAP_POPULATE,
-                      Interface.DAXVM):
-        system = _machine(args).build()
-        cfg = PRedisConfig(cache_size=512 << 20, num_gets=args.ops,
-                           window=max(500, args.ops // 16),
-                           interface=interface)
-        r = run_predis(system, cfg)
-        timeline = " ".join(f"{v / 1e3:5.0f}"
-                            for _t, v in r.timeline.points[:8])
-        print(f"{interface.value:>10}: boot={r.boot_seconds * 1e3:8.2f}ms"
-              f"  Kops/s: {timeline}")
-
-
-@experiment("ycsb", "YCSB load_a over the Pmem-RocksDB model (fig 9c)")
-def _ycsb(args):
-    table = Table("YCSB load_a (Kops/s)", ["variant", "Kops/s",
-                                           "sync commits"])
-    variants = [
-        ("mmap", Interface.MMAP, None, False),
-        ("daxvm", Interface.DAXVM,
-         DaxVMOptions(ephemeral=False, unmap_async=False), False),
-        ("daxvm+pz+ns", Interface.DAXVM,
-         DaxVMOptions(ephemeral=False, unmap_async=False, nosync=True),
-         True),
-    ]
-    for name, interface, opts, prezero in variants:
-        system = replace(_machine(args), fs=args.fs).build()
-        kv = KVConfig(interface=interface)
-        if opts is not None:
-            kv = KVConfig(interface=interface, daxvm=opts)
-        cfg = YCSBConfig(workload="load_a", num_ops=args.ops,
-                         preload_records=0, kv=kv, prezero=prezero)
-        r = run_ycsb(system, cfg)
-        table.add_row(name, r.ops_per_second / 1e3,
-                      r.counters.get("journal.sync_commits", 0))
-    print(format_table(table))
-
-
-@experiment("media", "DaxVM across storage media (§VI)")
-def _media(args):
-    table = Table("32KB ephemeral access across media",
-                  ["media", "read us", "daxvm us", "daxvm/read"])
-    for media in MEDIA_PRESETS:
-        out = {}
-        for interface in (Interface.READ, Interface.DAXVM):
-            system = MachineSpec(media=media, device_gib=args.device,
-                                 aged=True).build()
-            cfg = EphemeralConfig(file_size=32 << 10,
-                                  num_files=args.ops,
-                                  interface=interface)
-            out[interface] = run_ephemeral(system, cfg)
-        table.add_row(media, out[Interface.READ].latency_us,
-                      out[Interface.DAXVM].latency_us,
-                      out[Interface.READ].latency_us
-                      / out[Interface.DAXVM].latency_us)
-    print(format_table(table))
-
-
-def _replica(args) -> MachineSpec:
-    """The machine every crash/fault/migration replica is built from:
-    the flags' machine on a fresh image (each replica rebuilds the
-    machine from scratch, and aging churn adds nothing to durability
-    or poison-handling coverage)."""
-    return replace(_machine(args), aged=False, fs=args.fs)
 
 
 def _audit_report(args, summary, title: str, keys, failures: int,
@@ -391,15 +264,16 @@ def _sweep_cmd(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="DaxVM reproduction experiments (compact versions; "
-                    "full regenerations live in benchmarks/)")
+        description="DaxVM reproduction: paper-figure sweeps, perf "
+                    "breakdowns and replica audits")
     parser.add_argument("experiment",
                         choices=sorted(EXPERIMENTS) + ["perf", "sweep",
                                                        "list"],
-                        help="which experiment to run ('perf' drills "
-                             "into instrumentation breakdowns, 'sweep' "
-                             "fans a named sweep across worker "
-                             "processes with result caching)")
+                        help="what to run ('sweep' fans a registered "
+                             "sweep, e.g. a paper figure, across worker "
+                             "processes with result caching; 'perf' "
+                             "drills into instrumentation breakdowns; "
+                             "the rest are replica audits)")
     parser.add_argument("target", nargs="?",
                         choices=sorted(set(PERF_TARGETS) | set(SWEEPS)),
                         help="perf target (with 'perf') or sweep name "
@@ -408,46 +282,48 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit machine-readable JSON (with 'perf', "
                              "'crash', 'faults' or 'migrate')")
     parser.add_argument("--ops", type=int, default=400,
-                        help="operation/file/request count")
+                        help="operation/file/request budget per sweep "
+                             "point (each sweep documents its use)")
     parser.add_argument("--size", type=int, default=32 << 10,
                         help="file size in bytes where applicable")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reader threads (with 'ephemeral'; sweeps "
-                             "and perf carry thread counts per point)")
     parser.add_argument("--device", type=int, default=4,
                         help="device size in GiB")
     parser.add_argument("--fresh", action="store_true",
-                        help="fresh (unaged) file system image")
+                        help="fresh (unaged) file system image for "
+                             "sweeps and perf (replicas are always "
+                             "fresh)")
     parser.add_argument("--fs", choices=("ext4", "nova", "xfs"),
-                        default="ext4")
+                        default="ext4",
+                        help="file system of the crash/faults/migrate "
+                             "replicas (sweeps carry it per point)")
     parser.add_argument("--media", choices=sorted(MEDIA_PRESETS),
                         default="optane")
     parser.add_argument("--scheme", choices=SCHEME_NAMES,
                         default="radix4",
-                        help="translation architecture for experiments "
-                             "that build one machine (sweeps carry the "
-                             "scheme per point instead)")
+                        help="translation architecture of the "
+                             "crash/faults/migrate replicas (sweeps "
+                             "carry the scheme per point)")
     parser.add_argument("--nodes", type=int, default=1,
-                        help="NUMA sockets (1 = uniform machine)")
+                        help="NUMA sockets of the crash/faults/migrate "
+                             "replicas (1 = uniform machine)")
     parser.add_argument("--policy", choices=PLACEMENTS, default="local",
                         help="file/device placement relative to "
-                             "--pin-node (multi-socket only; with the "
-                             "experiments that build one machine and the "
-                             "crash/faults/migrate replicas, not sweeps "
-                             "or perf)")
+                             "--pin-node on multi-socket "
+                             "crash/faults/migrate replicas")
     parser.add_argument("--pin-node", type=int, default=0,
                         help="socket the placement is defined against "
-                             "(same commands as --policy)")
+                             "(crash/faults/migrate replicas)")
     parser.add_argument("--node-kinds", default=None,
-                        help="comma list of memory-node kinds (ddr, "
-                             "cxl, far), e.g. 'ddr,cxl' adds a CXL "
-                             "expander beside the socket; overrides "
-                             "--nodes")
+                        help="comma list of the crash/faults/migrate "
+                             "replicas' memory-node kinds (ddr, cxl, "
+                             "far), e.g. 'ddr,cxl' adds a CXL expander "
+                             "beside the socket; overrides --nodes")
     parser.add_argument("--tiering", default=None,
-                        help="price file data on this tier instead of "
-                             "the device medium (dram/pmem/cxl/far); "
-                             "append ':daemon' to start the hot/cold "
-                             "migration kthread, e.g. 'cxl:daemon'")
+                        help="price the crash/faults/migrate replicas' "
+                             "file data on this tier instead of the "
+                             "device medium (dram/pmem/cxl/far); append "
+                             "':daemon' to start the hot/cold migration "
+                             "kthread, e.g. 'cxl:daemon'")
     parser.add_argument("--workload",
                         choices=("syncbench", "kvstore", "readbench"),
                         default="syncbench",
@@ -502,7 +378,7 @@ def main(argv=None) -> int:
         for name, view in sorted(PERF_TARGETS.items()):
             print(f"perf {name:<7} {view.help_text}")
         for name, fn in sorted(SWEEPS.items()):
-            print(f"sweep {name:<6} {fn.help_text}")
+            print(f"sweep {name:<14} {fn.help_text}")
         return 0
     if args.experiment == "perf":
         if args.target is None or args.target not in PERF_TARGETS:

@@ -88,9 +88,15 @@ def _pinned_points(pinned: tuple) -> Iterator[Tuple[str, SweepPoint]]:
 
 def _grouped(pinned: tuple,
              state_of: Callable[[SweepPoint], States]) -> States:
+    """``{group: {label: state}}``; two pinned points sharing a label
+    in one group would silently overwrite each other, so they raise."""
     out: Dict[str, Dict[str, object]] = {}
     for group, point in _pinned_points(pinned):
-        out.setdefault(group, {})[point.label] = state_of(point)
+        states = out.setdefault(group, {})
+        if point.label in states:
+            raise ValueError(f"golden group {group!r} pins two points "
+                             f"labelled {point.label!r}")
+        states[point.label] = state_of(point)
     return out
 
 

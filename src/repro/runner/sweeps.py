@@ -11,11 +11,14 @@ definition of what "the apache sweep" means.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Callable, Dict, Optional
+import enum
+from dataclasses import asdict, replace
+from typing import Callable, Dict, Optional, get_type_hints
 
 from repro.analysis.results import RunResult
+from repro.config import MEDIA_PRESETS
 from repro.machine import MachineSpec
+from repro.paging.tlb import AccessPattern
 from repro.runner.manifest import Sweep, SweepPoint
 from repro.system import System
 from repro.topology import PLACEMENTS
@@ -27,14 +30,20 @@ from repro.workloads import (
     EphemeralConfig,
     Interface,
     KVConfig,
+    PRedisConfig,
+    RepetitiveConfig,
     ServerInterface,
     SyncConfig,
     SyncDiscipline,
+    TextSearchConfig,
     YCSBConfig,
     run_apache,
     run_append,
     run_ephemeral,
+    run_predis,
+    run_repetitive,
     run_sync,
+    run_textsearch,
     run_ycsb,
 )
 
@@ -58,48 +67,60 @@ def sweep(name: str, help_text: str):
     return decorate
 
 
-def _daxvm_options(state: Optional[dict]) -> DaxVMOptions:
-    return DaxVMOptions(**state) if state else DaxVMOptions.full()
-
-
-def _daxvm_params(opts: DaxVMOptions) -> dict:
-    return {"ephemeral": opts.ephemeral, "unmap_async": opts.unmap_async,
-            "sync": opts.sync, "nosync": opts.nosync}
-
-
 # ---------------------------------------------------------------------------
 # Point runners (what a worker process executes).
 # ---------------------------------------------------------------------------
-@point_runner("ephemeral")
-def _ephemeral_point(system: System, *, file_size: int, num_files: int,
-                     num_threads: int, interface: str,
-                     daxvm: Optional[dict] = None,
-                     pin_node: Optional[int] = None) -> RunResult:
-    cfg = EphemeralConfig(file_size=file_size, num_files=num_files,
-                          num_threads=num_threads,
-                          interface=Interface(interface),
-                          daxvm=_daxvm_options(daxvm),
-                          pin_node=pin_node)
-    return run_ephemeral(system, cfg)
+def _config(cls, params: dict):
+    """``cls`` from a point's JSON-safe params: enum fields arrive as
+    their values, ``daxvm`` as a :class:`DaxVMOptions` field dict;
+    absent fields keep the config's defaults."""
+    types = get_type_hints(cls)
+    return cls(**{key: DaxVMOptions(**value) if key == "daxvm"
+                  else types[key](value)
+                  if isinstance(types[key], enum.EnumMeta) else value
+                  for key, value in params.items()})
 
 
-@point_runner("apache")
-def _apache_point(system: System, *, num_workers: int, requests: int,
-                  interface: str, daxvm: Optional[dict] = None,
-                  batch_pages: Optional[int] = None) -> RunResult:
-    cfg = ApacheConfig(num_workers=num_workers, requests=requests,
-                       interface=ServerInterface(interface),
-                       daxvm=_daxvm_options(daxvm),
-                       batch_pages=batch_pages)
-    return run_apache(system, cfg)
+def _config_runner(cls, run) -> PointRunner:
+    def runner(system: System, **params) -> RunResult:
+        return run(system, _config(cls, params))
+    return runner
 
 
-@point_runner("append")
-def _append_point(system: System, *, append_size: int, num_appends: int,
-                  variant: str) -> RunResult:
-    cfg = AppendConfig(append_size=append_size, num_appends=num_appends,
-                       variant=AppendVariant(variant))
-    return run_append(system, cfg)
+#: Runners whose params are exactly their workload config's fields.
+POINT_RUNNERS.update(
+    ephemeral=_config_runner(EphemeralConfig, run_ephemeral),
+    apache=_config_runner(ApacheConfig, run_apache),
+    append=_config_runner(AppendConfig, run_append),
+    syncbench=_config_runner(SyncConfig, run_sync),
+    repetitive=_config_runner(RepetitiveConfig, run_repetitive),
+    textsearch=_config_runner(TextSearchConfig, run_textsearch),
+)
+
+
+@point_runner("predis")
+def _predis_point(system: System, **params) -> RunResult:
+    """The boot stall rides as the ``predis.boot_cycles`` run counter
+    and the warm-up timeline as the ``predis.throughput`` sample
+    series of the point's Stats: ``(seconds since boot, ops/s in the
+    window)``."""
+    result = run_predis(system, _config(PRedisConfig, params))
+    result.run.counters["predis.boot_cycles"] = result.boot_cycles
+    for when, ops_s in result.timeline.points:
+        system.stats.sample("predis.throughput", when, ops_s)
+    return result.run
+
+
+@point_runner("kvstore")
+def _kvstore_point(system: System, *, workload: str, num_ops: int,
+                   preload_records: int, prezero: bool = False,
+                   **kv) -> RunResult:
+    """YCSB phase knobs by name; every other param is a
+    :class:`KVConfig` field."""
+    cfg = YCSBConfig(workload=workload, num_ops=num_ops,
+                     preload_records=preload_records,
+                     kv=_config(KVConfig, kv), prezero=prezero)
+    return run_ycsb(system, cfg)
 
 
 @point_runner("crash")
@@ -127,34 +148,6 @@ def _faults_point(system: System, *, workload: str, seed: int,
     summary = run_faults(system.spec.build, workload, seed=seed,
                          max_sites=max_sites)
     return summary.to_result()
-
-
-@point_runner("syncbench")
-def _syncbench_point(system: System, *, file_size: int, op_size: int,
-                     ops_per_sync: int, num_syncs: int,
-                     discipline: str) -> RunResult:
-    cfg = SyncConfig(file_size=file_size, op_size=op_size,
-                     ops_per_sync=ops_per_sync, num_syncs=num_syncs,
-                     discipline=SyncDiscipline(discipline))
-    return run_sync(system, cfg)
-
-
-@point_runner("kvstore")
-def _kvstore_point(system: System, *, workload: str, num_ops: int,
-                   preload_records: int, interface: str,
-                   record_size: int = 4096,
-                   memtable_limit: int = 8 << 20,
-                   sstable_size: int = 8 << 20,
-                   wal_size: int = 8 << 20,
-                   daxvm: Optional[dict] = None) -> RunResult:
-    kv = KVConfig(record_size=record_size,
-                  memtable_limit=memtable_limit,
-                  sstable_size=sstable_size, wal_size=wal_size,
-                  interface=Interface(interface),
-                  daxvm=_daxvm_options(daxvm))
-    cfg = YCSBConfig(workload=workload, num_ops=num_ops,
-                     preload_records=preload_records, kv=kv)
-    return run_ycsb(system, cfg)
 
 
 @point_runner("selftest")
@@ -191,42 +184,126 @@ def _selftest_point(system: System, *, mode: str,
 # ---------------------------------------------------------------------------
 # Sweep builders (figure -> list of points).
 # ---------------------------------------------------------------------------
+def _params(**fields) -> dict:
+    """Runner params from config field values: enums by value, DaxVM
+    options as a field dict; ``None`` fields are left out (the config
+    keeps its default), so a knob added later never moves an existing
+    point's payload, hence its cache key."""
+    return {key: value.value if isinstance(value, enum.Enum)
+            else asdict(value) if isinstance(value, DaxVMOptions)
+            else value for key, value in fields.items() if value is not None}
+
+
+#: DaxVM for long-lived mappings (databases, stores): no ephemeral
+#: heap, no async unmap.
+MAPPED_DAXVM = DaxVMOptions(ephemeral=False, unmap_async=False)
+#: The three interfaces most read-once figures plot.
+READ_MMAP_DAXVM = (Interface.READ, Interface.MMAP, Interface.DAXVM)
+
+
+def _read_once(series: str, x: float, machine: MachineSpec, *,
+               interface: Interface, size: int, files: int,
+               threads: int = 1, **extra) -> SweepPoint:
+    """One ``ephemeral`` point: ``files`` read-once accesses of
+    ``size``-byte files by ``threads`` threads."""
+    return SweepPoint(experiment="ephemeral", series=series, x=x,
+                      params=_params(file_size=size, num_files=files,
+                                     num_threads=threads,
+                                     interface=interface, **extra),
+                      machine=machine)
+
+
 @sweep("scaling", "read-once throughput vs thread count (fig 1b)")
 def _scaling_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
-    points = []
-    for threads in (1, 2, 4, 8, 16):
-        for interface in (Interface.READ, Interface.MMAP,
-                          Interface.DAXVM):
-            points.append(SweepPoint(
-                experiment="ephemeral", series=interface.value,
-                x=threads,
-                params={"file_size": size, "num_files": ops,
-                        "num_threads": threads,
-                        "interface": interface.value},
-                machine=base))
+    points = [_read_once(interface.value, threads, base,
+                         interface=interface, size=size, files=ops,
+                         threads=threads)
+              for threads in (1, 2, 4, 8, 16)
+              for interface in READ_MMAP_DAXVM]
     return Sweep(name="scaling",
                  title="Read-once throughput (Kops/s)",
                  points=points, axis="threads")
 
 
-@sweep("apache", "webserver scalability (fig 8a)")
+#: read, mmap and full DaxVM: the bars of the compact Fig. 8a and of
+#: Fig. 8b.
+APACHE_TRIO = (("read", ServerInterface.READ, None),
+               ("mmap", ServerInterface.MMAP, None),
+               ("daxvm", ServerInterface.DAXVM, DaxVMOptions.full()))
+
+
+@sweep("apache", "webserver scalability, read/mmap/DaxVM (compact "
+                 "fig 8a)")
 def _apache_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
-    bars = [("read", ServerInterface.READ, None),
-            ("mmap", ServerInterface.MMAP, None),
-            ("daxvm", ServerInterface.DAXVM, DaxVMOptions.full())]
-    points = []
-    for workers in (1, 4, 8, 16):
-        for series, interface, opts in bars:
-            params = {"num_workers": workers, "requests": ops,
-                      "interface": interface.value}
-            if opts is not None:
-                params["daxvm"] = _daxvm_params(opts)
-            points.append(SweepPoint(
-                experiment="apache", series=series, x=workers,
-                params=params, machine=base))
+    points = [SweepPoint(experiment="apache", series=series, x=workers,
+                         params=_params(num_workers=workers, requests=ops,
+                                        interface=interface, daxvm=opts),
+                         machine=base)
+              for workers in (1, 4, 8, 16)
+              for series, interface, opts in APACHE_TRIO]
     return Sweep(name="apache",
                  title="Apache throughput (Kreq/s)",
                  points=points, axis="cores")
+
+
+#: Fig. 8a's bars in legend order: (series, interface, DaxVM options).
+APACHE_BARS = (
+    ("read", ServerInterface.READ, None),
+    ("mmap", ServerInterface.MMAP, None),
+    ("populate", ServerInterface.MMAP_POPULATE, None),
+    ("latr", ServerInterface.MMAP_LATR, None),
+    ("mmap+async", ServerInterface.MMAP_ASYNC, None),
+    ("dax-tables", ServerInterface.DAXVM, DaxVMOptions.filetables_only()),
+    ("dax+eph", ServerInterface.DAXVM, DaxVMOptions.with_ephemeral()),
+    ("dax+eph+async", ServerInterface.DAXVM, DaxVMOptions.full()),
+)
+
+
+@sweep("apache-scaling", "every fig 8a bar x cores, plus 8 worker "
+                         "processes (§V-C)")
+def _apache_scaling_sweep(*, ops: int, size: int,
+                          base: MachineSpec) -> Sweep:
+    """Fig. 8a in full: every bar at 1-16 cores, 32 KB pages, ``ops``
+    requests per point; ``size`` is ignored.  The multiprocess
+    discussion's two one-process-per-worker points (``mmap+procs``,
+    ``daxvm+procs`` at 8 workers) come last; its threaded baselines
+    are the figure's own ``mmap`` and ``read`` points at 8."""
+    bars = [(cores, series, interface, opts, None)
+            for cores in (1, 2, 4, 8, 16)
+            for series, interface, opts in APACHE_BARS]
+    bars += [(8, "mmap+procs", ServerInterface.MMAP, None, True),
+             (8, "daxvm+procs", ServerInterface.DAXVM, DaxVMOptions.full(),
+              True)]
+    points = [SweepPoint(experiment="apache", series=series, x=cores,
+                         params=_params(num_workers=cores, requests=ops,
+                                        interface=interface, daxvm=opts,
+                                        multiprocess=multiprocess),
+                         machine=base)
+              for cores, series, interface, opts, multiprocess in bars]
+    return Sweep(name="apache-scaling",
+                 title="Apache throughput (Kreq/s), 32KB pages",
+                 points=points, axis="cores")
+
+
+@sweep("apache-pages", "webserver throughput vs page size at 16 cores "
+                       "(fig 8b)")
+def _apache_pages_sweep(*, ops: int, size: int,
+                        base: MachineSpec) -> Sweep:
+    """read, mmap and DaxVM serving 4-64 KB pages with 16 workers
+    (x = page KB).  Each point serves at most ``ops`` requests and at
+    most 64 MB of pages, but the byte cap never cuts below 400
+    requests; ``size`` is ignored: the page size is the axis."""
+    points = [SweepPoint(
+        experiment="apache", series=series, x=kb,
+        params=_params(num_workers=16, interface=interface, daxvm=opts,
+                       requests=min(ops, max(400, (64 << 20) // (kb << 10))),
+                       page_size=kb << 10),
+        machine=base)
+        for kb in (4, 16, 32, 64)
+        for series, interface, opts in APACHE_TRIO]
+    return Sweep(name="apache-pages",
+                 title="Apache throughput (Kreq/s), 16 cores",
+                 points=points, axis="page KB")
 
 
 #: Append sizes on the appends sweep's x axis (KB), Fig. 7's range.
@@ -247,13 +324,205 @@ def _appends_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
             for variant in AppendVariant:
                 points.append(SweepPoint(
                     experiment="append", series=f"{fs}:{variant.value}",
-                    x=kb,
-                    params={"append_size": kb << 10,
-                            "num_appends": num_appends,
-                            "variant": variant.value},
+                    x=kb, params=_params(append_size=kb << 10,
+                                         num_appends=num_appends,
+                                         variant=variant),
                     machine=machine))
     return Sweep(name="appends",
                  title="Append throughput (Kops/s)",
+                 points=points, axis="KB")
+
+
+#: File sizes on the ephemeral sweep's x axis (KB): Fig. 1a's and
+#: Fig. 4's together.
+EPHEMERAL_SIZES_KB = (4, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096,
+                      16384, 65536)
+
+
+@sweep("ephemeral", "read-once latency/throughput vs file size "
+                    "(figs 1a, 4)")
+def _ephemeral_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
+    """One thread reads each file once through every interface
+    (x = file KB).  A point reads at most ``ops`` files and at most
+    256 MB, but never fewer than 3 files; ``size`` is ignored: the file
+    size is the axis."""
+    points = [_read_once(interface.value, kb, base, interface=interface,
+                         size=kb << 10,
+                         files=max(3, min(ops, (256 << 20) // (kb << 10))))
+              for kb in EPHEMERAL_SIZES_KB for interface in Interface]
+    return Sweep(name="ephemeral",
+                 title="Read-once throughput by file size (Kops/s)",
+                 points=points, axis="KB")
+
+
+@sweep("repetitive", "repetitive 1/4 KB ops over one large file "
+                     "(figs 1c, 5)")
+def _repetitive_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
+    """Fig. 5's op size (x, bytes) x pattern x read/write x variant
+    over a 96 MB file (series ``<pattern>:<mode>:<variant>``; the
+    ``daxvm`` variant ticks the MMU monitor every 8192 ops, as the
+    figure does), then Fig. 1c's monitor-less DaxVM cells (variant
+    ``daxvm-nomon``) and the §V-B monitor ablation: random 4 KB DaxVM
+    reads of a 64 MB file without and with a 2048-op monitor (series
+    ``monitor:<interval>``).  A point runs at most ``ops`` ops and at
+    most one pass over its file; ``size`` is ignored."""
+    big = 96 << 20
+    points = []
+
+    def add(series, interface, file_size, op_size, pattern, write,
+            monitor_every):
+        # Only DaxVM reads the monitor interval and the options, so the
+        # syscall and mmap cells Figs. 1c and 5 share are one point each.
+        daxvm = interface is Interface.DAXVM
+        points.append(SweepPoint(
+            experiment="repetitive", series=series, x=op_size,
+            params=_params(file_size=file_size, op_size=op_size,
+                           num_ops=min(ops, file_size // op_size),
+                           pattern=pattern, write=write,
+                           interface=interface,
+                           monitor_every=monitor_every if daxvm else None,
+                           daxvm=(replace(MAPPED_DAXVM, nosync=True)
+                                  if daxvm else None)),
+            machine=base))
+
+    variants = (("syscall", Interface.READ), ("mmap", Interface.MMAP),
+                ("populate", Interface.MMAP_POPULATE),
+                ("daxvm", Interface.DAXVM))
+    cells = [(pattern, write, f"{pattern.value}:"
+              f"{'write' if write else 'read'}")
+             for pattern in AccessPattern for write in (False, True)]
+    for op_size in (1024, 4096):
+        for pattern, write, cell in cells:
+            for variant, interface in variants:
+                add(f"{cell}:{variant}", interface, big, op_size, pattern,
+                    write, 8192)
+    for pattern, write, cell in cells:
+        add(f"{cell}:daxvm-nomon", Interface.DAXVM, big, 4096, pattern,
+            write, 0)
+    for monitor_every in (0, 2048):
+        add(f"monitor:{monitor_every}", Interface.DAXVM, 64 << 20, 4096,
+            AccessPattern.RANDOM, False, monitor_every)
+    return Sweep(name="repetitive",
+                 title="Repetitive access (Kops/s)",
+                 points=points, axis="op bytes")
+
+
+#: Sync intervals on the sync sweep's x axis (1 KB writes per sync).
+SYNC_INTERVALS = (4, 64, 512, 2048, 8192)
+
+
+@sweep("sync", "sync discipline x sync interval, 1 KB writes (fig 6)")
+def _sync_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
+    """Every sync discipline at every interval over a 384 MB file
+    (x = writes per sync).  A point writes about ``ops`` KB, in at
+    least 10 sync rounds; ``size`` is ignored."""
+    points = [SweepPoint(
+        experiment="syncbench", series=discipline.value, x=interval,
+        params={"file_size": 384 << 20, "op_size": 1 << 10,
+                "ops_per_sync": interval,
+                "num_syncs": max(10, ops // interval),
+                "discipline": discipline.value},
+        machine=base)
+        for interval in SYNC_INTERVALS for discipline in SyncDiscipline]
+    return Sweep(name="sync", title="Sync disciplines (Kops/s)",
+                 points=points, axis="ops/sync")
+
+
+@sweep("textsearch", "text search over a source-tree file set vs "
+                     "threads (fig 9a)")
+def _textsearch_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
+    """ag over a Linux-tree-like file set of at most ``ops`` (and at
+    most 1200) files, 160 MB at 1200 files and scaled with the count;
+    ``daxvm-sync-unmap`` turns async unmapping off.  ``size`` is
+    ignored."""
+    num_files = min(ops, 1200)
+    total_bytes = (160 << 20) * num_files // 1200
+    bars = [("read", Interface.READ, None),
+            ("mmap", Interface.MMAP, None),
+            ("daxvm", Interface.DAXVM, DaxVMOptions.full()),
+            ("daxvm-sync-unmap", Interface.DAXVM,
+             DaxVMOptions.with_ephemeral())]
+    points = [SweepPoint(
+        experiment="textsearch", series=series, x=threads,
+        params=_params(num_files=num_files, total_bytes=total_bytes,
+                       num_threads=threads, interface=interface,
+                       daxvm=opts),
+        machine=base)
+        for threads in (1, 2, 4, 8, 16) for series, interface, opts in bars]
+    return Sweep(name="textsearch", title="Text search (Kfiles/s)",
+                 points=points, axis="threads")
+
+
+@sweep("predis", "P-Redis boot stall + warm-up timeline (fig 9b)")
+def _predis_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
+    """A restarted P-Redis serving ``ops`` gets of 16 KB values from a
+    cache of one value per get, capped at 768 MB (x = cache MB), in 20
+    throughput windows; ``size`` is ignored."""
+    cache_size = min(768 << 20, ops * (16 << 10))
+    points = [SweepPoint(
+        experiment="predis", series=interface.value, x=cache_size >> 20,
+        params={"cache_size": cache_size, "num_gets": ops,
+                "window": max(1, ops // 20),
+                "interface": interface.value},
+        machine=base)
+        for interface in (Interface.MMAP, Interface.MMAP_POPULATE,
+                          Interface.DAXVM)]
+    return Sweep(name="predis", title="P-Redis gets (Kops/s)",
+                 points=points, axis="cache MB")
+
+
+#: YCSB phases on the ycsb sweep's x axis (x = index).
+YCSB_WORKLOADS = ("load_a", "load_e", "run_a", "run_b", "run_c", "run_d",
+                  "run_e", "run_f")
+#: Fig. 9c's variants: (series, interface, DaxVM options, pre-zero).
+YCSB_VARIANTS = (
+    ("mmap", Interface.MMAP, None, False),
+    ("populate", Interface.MMAP_POPULATE, None, False),
+    ("daxvm", Interface.DAXVM, MAPPED_DAXVM, False),
+    ("daxvm+pz", Interface.DAXVM, MAPPED_DAXVM, True),
+    ("daxvm+pz+ns", Interface.DAXVM,
+     replace(MAPPED_DAXVM, nosync=True), True),
+)
+
+
+@sweep("ycsb", "YCSB phases x variant over Pmem-RocksDB, ext4 and NOVA "
+               "(fig 9c)")
+def _ycsb_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
+    """Every phase x variant on ext4-DAX (series ``ext4:<variant>``,
+    x = index into :data:`YCSB_WORKLOADS`), then the §V-C NOVA
+    comparison: load_a and run_b, mmap vs pre-zero+nosync DaxVM.
+    ``ops`` sets both the preloaded records and the measured ops;
+    ``size`` is ignored."""
+    points = []
+    for fs, workloads, variants in (
+            ("ext4", YCSB_WORKLOADS, YCSB_VARIANTS),
+            ("nova", ("load_a", "run_b"),
+             (YCSB_VARIANTS[0], YCSB_VARIANTS[-1]))):
+        machine = replace(base, fs=fs)
+        points += [SweepPoint(
+            experiment="kvstore", series=f"{fs}:{series}",
+            x=YCSB_WORKLOADS.index(workload),
+            params=_params(workload=workload, num_ops=ops,
+                           preload_records=ops, interface=interface,
+                           daxvm=opts, prezero=prezero),
+            machine=machine)
+            for workload in workloads
+            for series, interface, opts, prezero in variants]
+    return Sweep(name="ycsb", title="YCSB over Pmem-RocksDB (Kops/s)",
+                 points=points, axis="workload")
+
+
+@sweep("media", "read-once access per storage medium (§VI)")
+def _media_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
+    """``ops`` single-thread read-once accesses of ``size``-byte files
+    through read, mmap and DaxVM on every media preset (series
+    ``<media>:<interface>``, x = file KB); every other machine knob
+    comes from ``base``."""
+    points = [_read_once(f"{media}:{interface.value}", size >> 10,
+                         replace(base, media=media), interface=interface,
+                         size=size, files=ops)
+              for media in MEDIA_PRESETS for interface in READ_MMAP_DAXVM]
+    return Sweep(name="media", title="Read-once across media (Kops/s)",
                  points=points, axis="KB")
 
 
@@ -270,17 +539,12 @@ def _ablations_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
         ("+async", ServerInterface.DAXVM, DaxVMOptions.full(), None),
         ("+batch512", ServerInterface.DAXVM, DaxVMOptions.full(), 512),
     ]
-    points = []
-    for series, interface, opts, batch in bars:
-        params = {"num_workers": workers, "requests": ops,
-                  "interface": interface.value}
-        if opts is not None:
-            params["daxvm"] = _daxvm_params(opts)
-        if batch is not None:
-            params["batch_pages"] = batch
-        points.append(SweepPoint(
-            experiment="apache", series=series, x=workers,
-            params=params, machine=base))
+    points = [SweepPoint(experiment="apache", series=series, x=workers,
+                         params=_params(num_workers=workers, requests=ops,
+                                        interface=interface, daxvm=opts,
+                                        batch_pages=batch),
+                         machine=base)
+              for series, interface, opts, batch in bars]
     return Sweep(name="ablations",
                  title=f"Fig. 8a incremental bars, {workers} cores "
                        f"(Kreq/s)",
@@ -374,15 +638,12 @@ def _mmu_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
             points.append(SweepPoint(
                 experiment="kvstore", series=f"kvstore+{scheme}",
                 x=x,
-                params={"workload": "load_a", "num_ops": kv_ops,
-                        "preload_records": 0,
-                        "interface": Interface.DAXVM.value,
-                        "record_size": 4096,
-                        "memtable_limit": 1 << 20,
-                        "sstable_size": 1 << 20, "wal_size": 1 << 20,
-                        "daxvm": {"ephemeral": False,
-                                  "unmap_async": False,
-                                  "sync": True, "nosync": False}},
+                params=_params(workload="load_a", num_ops=kv_ops,
+                               preload_records=0,
+                               interface=Interface.DAXVM,
+                               record_size=4096, memtable_limit=1 << 20,
+                               sstable_size=1 << 20, wal_size=1 << 20,
+                               daxvm=MAPPED_DAXVM),
                 machine=machine))
     return Sweep(name="mmu",
                  title="DaxVM across translation architectures "
@@ -395,18 +656,12 @@ def _numa_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
     """Read-once mmap with workload threads pinned to socket 0 and the
     file placed local to them, on the remote socket, or interleaved
     across both — the dual-socket Optane placement experiment."""
-    points = []
-    for threads in (1, 2, 4, 8, 16):
-        for placement in PLACEMENTS:
-            machine = replace(base, nodes=("ddr", "ddr"),
-                              placement=placement, pin_node=0)
-            points.append(SweepPoint(
-                experiment="ephemeral", series=placement, x=threads,
-                params={"file_size": size, "num_files": ops,
-                        "num_threads": threads,
-                        "interface": Interface.MMAP.value,
-                        "pin_node": 0},
-                machine=machine))
+    points = [_read_once(placement, threads,
+                         replace(base, nodes=("ddr", "ddr"),
+                                 placement=placement, pin_node=0),
+                         interface=Interface.MMAP, size=size, files=ops,
+                         threads=threads, pin_node=0)
+              for threads in (1, 2, 4, 8, 16) for placement in PLACEMENTS]
     return Sweep(name="numa",
                  title="NUMA file placement, mmap read-once (Kops/s)",
                  points=points, axis="threads")
@@ -438,15 +693,10 @@ def _tiering_sweep(*, ops: int, size: int, base: MachineSpec) -> Sweep:
             machine = replace(base, nodes=nodes, tier=tier,
                               ktierd=ktierd if daemon else None)
             suffix = "+ktierd" if daemon else ""
-            for interface in (Interface.READ, Interface.MMAP,
-                              Interface.DAXVM):
-                points.append(SweepPoint(
-                    experiment="ephemeral",
-                    series=f"{interface.value}{suffix}", x=x,
-                    params={"file_size": size, "num_files": ops,
-                            "num_threads": 4,
-                            "interface": interface.value},
-                    machine=machine))
+            points += [_read_once(f"{interface.value}{suffix}", x,
+                                  machine, interface=interface, size=size,
+                                  files=ops, threads=4)
+                       for interface in READ_MMAP_DAXVM]
             points.append(SweepPoint(
                 experiment="syncbench", series=f"syncbench{suffix}",
                 x=x, params=_syncbench_params(ops, size),

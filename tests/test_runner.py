@@ -19,6 +19,8 @@ from repro.obs import CostDomain
 from repro.obs.histogram import Histogram
 from repro.obs.ledger import Ledger
 from repro.runner import (
+    POINT_RUNNERS,
+    SWEEPS,
     ResultCache,
     SweepPoint,
     build_sweep,
@@ -287,6 +289,48 @@ def test_build_sweep_registry():
     with pytest.raises(KeyError):
         build_sweep("nope", ops=8, size=32 << 10,
                     base=MachineSpec(device_gib=1, aged=False))
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_registered_sweep_is_well_formed(name):
+    """Unique labels, JSON-safe payloads, known runners, and the first
+    points byte-equal on one worker and on two."""
+    sweep = build_sweep(name, ops=4, size=16 << 10,
+                        base=MachineSpec(device_gib=1))
+    labels = [point.label for point in sweep.points]
+    assert len(set(labels)) == len(labels)
+    for point in sweep.points:
+        payload = point.to_payload()
+        wire = json.loads(json.dumps(payload))
+        assert SweepPoint.from_payload(wire).to_payload() == payload
+        assert point.experiment in POINT_RUNNERS
+    sweep.points = sweep.points[:3]
+    one, two = (run_sweep(sweep, jobs=jobs) for jobs in (1, 2))
+    assert [canon(pr) for pr in one.points] == \
+        [canon(pr) for pr in two.points]
+    assert [f.point.label for f in one.failed] == \
+        [f.point.label for f in two.failed]
+
+
+def test_goldens_refuse_duplicate_labels():
+    from repro import goldens
+
+    knobs = goldens._knobs(8)
+    with pytest.raises(ValueError, match="labelled"):
+        goldens._grouped((("scaling", knobs, (1,), None),
+                          ("scaling", knobs, (1,), None)),
+                         lambda point: {})
+
+
+def test_predis_point_records_boot_and_timeline():
+    sweep = build_sweep("predis", ops=200, size=0,
+                        base=MachineSpec(device_gib=1))
+    by_series = {pr.point.series: pr for pr in run_sweep(sweep).points}
+    for pr in by_series.values():
+        assert len(pr.stats.series("predis.throughput")) == 20
+    boot = {series: pr.run.counters["predis.boot_cycles"]
+            for series, pr in by_series.items()}
+    assert boot["populate"] > 50 * boot["mmap"]
 
 
 def test_cli_sweep_smoke(tmp_path, capsys):
